@@ -140,7 +140,23 @@ binaryFingerprint()
 {
     if (const char *fp = std::getenv("D2M_BUILD_FINGERPRINT"); fp && *fp)
         return fp;
-    return __DATE__ " " __TIME__;
+    // Hash of the running executable: any rebuild that changes the
+    // linked code changes every run key. Read once per process.
+    static const std::string exeHash = []() -> std::string {
+        const char *fallback = __DATE__ " " __TIME__;
+        std::FILE *f = std::fopen("/proc/self/exe", "rb");
+        if (!f)
+            return fallback;
+        KeyHasher h;
+        char buf[1 << 16];
+        std::size_t n;
+        while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+            h.bytes(buf, n);
+        const bool ok = !std::ferror(f);
+        std::fclose(f);
+        return ok ? "exe-" + hex64(h.value()) : fallback;
+    }();
+    return exeHash;
 }
 
 RunKey

@@ -70,10 +70,12 @@ RunKey makeRunKey(ConfigKind kind, const NamedWorkload &wl,
                   const SystemParams &params);
 
 /**
- * Binary identity baked into every run key. Defaults to the build's
- * __DATE__/__TIME__ stamp; override with D2M_BUILD_FINGERPRINT for
- * reproducible resume across rebuilds of identical sources (CI does
- * this).
+ * Binary identity baked into every run key: "exe-" plus a 64-bit
+ * FNV-1a hash of the running executable (/proc/self/exe), computed
+ * once per process, so any rebuild that changes the code gets fresh
+ * keys. D2M_BUILD_FINGERPRINT overrides it for resume across rebuilds
+ * of identical sources (CI does this). Falls back to the build's
+ * __DATE__/__TIME__ stamp when the executable cannot be read.
  */
 std::string binaryFingerprint();
 

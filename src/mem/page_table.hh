@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/flat_map.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "mem/geometry.hh"
 #include "sim/sim_object.hh"
@@ -161,8 +162,12 @@ class PageTable
 };
 
 /**
- * A fully-associative LRU TLB. Models hit/miss behaviour only; the
- * translation itself always comes from the shared PageTable.
+ * A fully-associative, exact-LRU TLB. Models hit/miss behaviour only;
+ * the translation itself always comes from the shared PageTable.
+ *
+ * Recency is an intrusive doubly linked list over a fixed node array
+ * (head = MRU, tail = LRU) indexed by a pre-sized FlatMap, so both a
+ * hit (unlink + push front) and a miss (evict the tail) are O(1).
  */
 class Tlb : public SimObject
 {
@@ -172,8 +177,13 @@ class Tlb : public SimObject
         : SimObject(std::move(name), parent),
           hits(this, "hits", "TLB hits"),
           misses(this, "misses", "TLB misses (page walks)"),
-          entries_(entries), pageShift_(page_shift)
-    {}
+          pageShift_(page_shift)
+    {
+        fatal_if(entries == 0, "TLB %s needs at least one entry",
+                 this->name().c_str());
+        nodes_.resize(entries);
+        slotOf_.reserve(entries);
+    }
 
     /** @return true on hit; on miss the entry is filled (LRU victim). */
     bool
@@ -181,23 +191,30 @@ class Tlb : public SimObject
     {
         const std::uint64_t tag =
             (std::uint64_t(asid) << 48) ^ (vaddr >> pageShift_);
-        ++clock_;
-        auto it = lru_.find(tag);
-        if (it != lru_.end()) {
-            it->second = clock_;
+        // The last tag looked up is always at the head, so a repeat
+        // hits without a hash probe and without reordering.
+        if (used_ != 0 && nodes_[head_].tag == tag) [[likely]] {
+            ++hits;
+            return true;
+        }
+        if (auto it = slotOf_.find(tag); it != slotOf_.end()) {
+            moveToFront(it->second);
             ++hits;
             return true;
         }
         ++misses;
-        if (lru_.size() >= entries_) {
-            auto victim = lru_.begin();
-            for (auto jt = lru_.begin(); jt != lru_.end(); ++jt) {
-                if (jt->second < victim->second)
-                    victim = jt;
-            }
-            lru_.erase(victim);
+        std::uint32_t n;
+        if (used_ < nodes_.size()) {
+            n = used_++;
+            pushFront(n);
+        } else {
+            n = tail_;
+            slotOf_.erase(nodes_[n].tag);
+            if (n != head_)
+                moveToFront(n);
         }
-        lru_.emplace(tag, clock_);
+        nodes_[n].tag = tag;
+        slotOf_.emplace(tag, n);
         return false;
     }
 
@@ -205,10 +222,43 @@ class Tlb : public SimObject
     stats::Counter misses;
 
   private:
-    unsigned entries_;
+    /** Array-of-structs so a hit's unlink touches one line per node. */
+    struct Node
+    {
+        std::uint64_t tag = 0;
+        std::uint32_t prev = 0;  //!< Toward the head (unused at head).
+        std::uint32_t next = 0;  //!< Toward the tail (unused at tail).
+    };
+
+    /** Link the unlinked node @p n in as the new head. */
+    void
+    pushFront(std::uint32_t n)
+    {
+        nodes_[n].next = head_;
+        nodes_[head_].prev = n;
+        head_ = n;
+    }
+
+    /** Move the linked, non-head node @p n to the head. */
+    void
+    moveToFront(std::uint32_t n)
+    {
+        assert(n != head_);
+        const Node &x = nodes_[n];
+        nodes_[x.prev].next = x.next;
+        if (n == tail_)
+            tail_ = x.prev;
+        else
+            nodes_[x.next].prev = x.prev;
+        pushFront(n);
+    }
+
     unsigned pageShift_;
-    std::uint64_t clock_ = 0;
-    FlatMap<std::uint64_t, std::uint64_t> lru_;
+    std::vector<Node> nodes_;
+    std::uint32_t used_ = 0;  //!< Nodes filled so far (fill order).
+    std::uint32_t head_ = 0;
+    std::uint32_t tail_ = 0;
+    FlatMap<std::uint64_t, std::uint32_t> slotOf_;
 };
 
 } // namespace d2m

@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <list>
+#include <set>
+#include <unordered_map>
+
+#include "common/rng.hh"
 #include "mem/page_table.hh"
 
 namespace d2m
@@ -107,6 +113,114 @@ TEST(Tlb, AsidsDistinguished)
     Tlb tlb("tlb", &parent, 8);
     tlb.lookup(0, 0x1000);
     EXPECT_FALSE(tlb.lookup(1, 0x1000));  // different asid: miss
+}
+
+TEST(Tlb, ZeroEntriesRejected)
+{
+    SimObject parent("sys");
+    EXPECT_EXIT(Tlb("tlb", &parent, 0), ::testing::ExitedWithCode(1),
+                "needs at least one entry");
+}
+
+/** Textbook LRU the TLB must agree with on every lookup. */
+class ReferenceLru
+{
+  public:
+    explicit ReferenceLru(std::size_t entries) : entries_(entries) {}
+
+    bool
+    lookup(AsId asid, Addr vaddr)
+    {
+        const std::uint64_t key = (vaddr >> 12) * 3 + asid;  // asid < 3
+        if (auto it = where_.find(key); it != where_.end()) {
+            order_.splice(order_.begin(), order_, it->second);
+            return true;
+        }
+        if (order_.size() == entries_) {
+            where_.erase(order_.back());
+            order_.pop_back();
+        }
+        order_.push_front(key);
+        where_[key] = order_.begin();
+        return false;
+    }
+
+  private:
+    std::size_t entries_;
+    std::list<std::uint64_t> order_;  //!< Front = most recent.
+    std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
+        where_;
+};
+
+enum class Trace { Uniform, Cyclic, HotCold };
+
+TEST(TlbProperty, MatchesReferenceLru)
+{
+    for (unsigned entries : {1u, 2u, 3u, 64u, 1024u}) {
+        for (Trace trace : {Trace::Uniform, Trace::Cyclic, Trace::HotCold}) {
+            SCOPED_TRACE(testing::Message()
+                         << "entries=" << entries
+                         << " trace=" << static_cast<int>(trace));
+            SimObject parent("sys");
+            Tlb tlb("tlb", &parent, entries);
+            ReferenceLru ref(entries);
+            Rng rng(0x71b0000ull + entries * 3 + static_cast<int>(trace));
+            // Footprints straddle the capacity so hits and misses mix.
+            const std::uint64_t pages = entries + entries / 2 + 2;
+            const std::uint64_t hot = entries / 2 + 1;
+            std::uint64_t hits = 0;
+            std::uint64_t misses = 0;
+            for (std::uint64_t i = 0; i < 40'000; ++i) {
+                std::uint64_t page;
+                switch (trace) {
+                  case Trace::Uniform:
+                    page = rng.next() % pages;
+                    break;
+                  case Trace::Cyclic:
+                    page = i % pages;
+                    break;
+                  default:
+                    page = rng.next() % 10 != 0
+                               ? rng.next() % hot
+                               : hot + rng.next() % (8 * entries);
+                    break;
+                }
+                const AsId asid = static_cast<AsId>(rng.next() % 3);
+                const Addr vaddr = (page << 12) | (rng.next() & 0xfff);
+                const bool hit = tlb.lookup(asid, vaddr);
+                ASSERT_EQ(hit, ref.lookup(asid, vaddr)) << "lookup " << i;
+                ++(hit ? hits : misses);
+            }
+            EXPECT_EQ(tlb.hits.value(), hits);
+            EXPECT_EQ(tlb.misses.value(), misses);
+        }
+    }
+}
+
+TEST(TlbProperty, CyclicSweeps)
+{
+    for (unsigned entries : {1u, 2u, 3u, 64u, 1024u}) {
+        SCOPED_TRACE(testing::Message() << "entries=" << entries);
+        SimObject parent("sys");
+        // One page more than fits: LRU always evicts the next page.
+        Tlb over("over", &parent, entries);
+        for (int pass = 0; pass < 4; ++pass) {
+            for (Addr p = 0; p <= entries; ++p)
+                ASSERT_FALSE(over.lookup(1, p << 12));
+        }
+        EXPECT_EQ(over.hits.value(), 0u);
+
+        // Exactly what fits: everything hits after the first pass.
+        Tlb fit("fit", &parent, entries);
+        for (Addr p = 0; p < entries; ++p)
+            ASSERT_FALSE(fit.lookup(2, p << 12));
+        for (int pass = 0; pass < 3; ++pass) {
+            for (Addr p = 0; p < entries; ++p)
+                ASSERT_TRUE(fit.lookup(2, p << 12));
+        }
+        EXPECT_EQ(fit.misses.value(), entries);
+        EXPECT_EQ(fit.hits.value(), 3u * entries);
+    }
 }
 
 } // namespace

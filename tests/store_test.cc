@@ -187,6 +187,27 @@ TEST(RunKeys, StableAndSensitiveToInputs)
     ::unsetenv("D2M_BUILD_FINGERPRINT");
 }
 
+TEST(RunKeys, FingerprintHashesTheExecutable)
+{
+    ::unsetenv("D2M_BUILD_FINGERPRINT");
+    const std::string fp = binaryFingerprint();
+    EXPECT_EQ(binaryFingerprint(), fp) << "stable across calls";
+    // "exe-" + 16 hex digits, not the __DATE__ " " __TIME__ fallback.
+    ASSERT_EQ(fp.size(), 20u) << fp;
+    EXPECT_EQ(fp.rfind("exe-", 0), 0u) << fp;
+    EXPECT_EQ(fp.find_first_not_of("0123456789abcdef", 4),
+              std::string::npos)
+        << fp;
+}
+
+TEST(RunKeys, FingerprintEnvOverrideWins)
+{
+    ::setenv("D2M_BUILD_FINGERPRINT", "pinned-fp", 1);
+    EXPECT_EQ(binaryFingerprint(), "pinned-fp");
+    ::unsetenv("D2M_BUILD_FINGERPRINT");
+    EXPECT_NE(binaryFingerprint(), "pinned-fp");
+}
+
 TEST(RunKeys, HexFormatting)
 {
     EXPECT_EQ(RunKey{0}.hex(), "0000000000000000");
