@@ -146,15 +146,13 @@ runOneImpl(ConfigKind kind, const NamedWorkload &wl,
     const RunResult run = runMulticore(*system, streams, ropts);
     Metrics m = collectMetrics(kind, wl.suite, wl.name, *system, run);
     std::string sp;
-    if (selfprof || system->laneCensus()) {
+    if (selfprof) {
         const obs::SelfProfRate rate{
             run.simKips, run.warmupWallSec, run.measureWallSec,
             run.heartbeats, envU64("D2M_HEARTBEAT", 0) * 1'000'000};
-        sp = obs::selfprofSection(selfprof.get(), system->laneCensus(),
-                                  rate);
-    }
-    if (selfprof)
+        sp = obs::selfprofSection(*selfprof, rate);
         emit(ctx, selfprof->topTable(run.measureWallSec));
+    }
     std::string row;
     if (ctx.rowOut || !resultsJsonPath().empty())
         row = buildRunRow(m, *system, snapshotter.get(), sp);

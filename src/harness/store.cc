@@ -11,7 +11,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "harness/results_json.hh"
 #include "obs/json.hh"
@@ -256,14 +255,6 @@ makeRunKey(ConfigKind kind, const NamedWorkload &wl,
     h.u64(f.nocMaxDelayHops);
 
     h.u64(sp.seed);
-
-    // Lane-parallel execution knobs (cpu/lane_sim.hh): the lane count
-    // itself never changes results, but it toggles between the classic
-    // and the windowed schedule, and the window size sets the drain
-    // batching — both change the (deterministic) stats, so cached rows
-    // must not be served across them.
-    h.u64(envU64("D2M_LANE_JOBS", 0));
-    h.u64(envU64("D2M_LANE_WINDOW", 0));
 
     h.str(binaryFingerprint());
     return RunKey{h.value()};

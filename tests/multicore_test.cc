@@ -1,10 +1,13 @@
 /**
  * @file
  * Tests for the multicore driver: warmup reset semantics, golden-value
- * checking, and late-hit accounting.
+ * checking, late-hit accounting, and the progress/cancel poll.
  */
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
 
 #include "cpu/multicore.hh"
 #include "d2m/d2m_system.hh"
@@ -115,6 +118,48 @@ TEST(Multicore, InvariantChecksRun)
     opts.invariantCheckPeriod = 1'000;
     const RunResult r = runMulticore(*sys, streams, opts);
     EXPECT_EQ(r.invariantErrors, 0u) << r.firstError;
+}
+
+TEST(Multicore, ProgressPollReportsFinalTotals)
+{
+    auto sys = makeSystem(ConfigKind::D2mNsR);
+    auto streams = streamsFor(tinyWorkload(), 4);
+    std::atomic<std::uint64_t> progress{0};
+    std::atomic<std::uint64_t> insts{0};
+    const std::atomic<int> cancel{0};
+    RunOptions opts;
+    opts.progress = &progress;
+    opts.instsProgress = &insts;
+    opts.cancel = &cancel;
+    const RunResult r = runMulticore(*sys, streams, opts);
+    EXPECT_GT(progress.load(), 0u);
+    // No warmup: every committed instruction is a measured one.
+    EXPECT_EQ(insts.load(), r.instructions);
+    EXPECT_EQ(insts.load(), 4u * 10'000u);
+}
+
+/** Aborts if the run loop ever asks it for a reference. */
+class UntouchableStream : public AccessStream
+{
+  public:
+    bool next(MemAccess &) override { std::abort(); }
+};
+
+TEST(MulticoreDeathTest, PreSetCancelAbortsBeforeFirstAccess)
+{
+    // The poll runs at iteration 0: an already-raised cancel flag
+    // fires before any stream is consumed.
+    auto sys = makeSystem(ConfigKind::Base2L);
+    std::vector<std::unique_ptr<AccessStream>> streams;
+    for (unsigned c = 0; c < sys->params().numNodes; ++c)
+        streams.push_back(std::make_unique<UntouchableStream>());
+    std::atomic<std::uint64_t> progress{0};
+    const std::atomic<int> cancel{1};
+    RunOptions opts;
+    opts.progress = &progress;
+    opts.cancel = &cancel;
+    EXPECT_EXIT(runMulticore(*sys, streams, opts),
+                testing::ExitedWithCode(1), "run cancelled");
 }
 
 } // namespace

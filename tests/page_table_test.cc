@@ -60,7 +60,6 @@ TEST(PageTable, FramesNeverCollide)
             EXPECT_TRUE(frames.insert(pa >> 12).second)
                 << "frame reused for page " << v;
         }
-        EXPECT_EQ(pt.numPages(), 256u);
     }
 }
 
