@@ -3,7 +3,6 @@
 #include "common/logging.hh"
 #include "fault/base_fault_model.hh"
 #include "obs/debug.hh"
-#include "obs/selfprof.hh"
 #include "obs/trace.hh"
 
 namespace d2m
@@ -121,7 +120,6 @@ BaselineSystem::invalidateInNode(NodeId n, Addr line_addr,
 Cycles
 BaselineSystem::invalidateSharers(ClassicLine &llc_line, NodeId except)
 {
-    obs::ProfScope prof(selfProf_, obs::ProfSite::Invalidate);
     bool any = false;
     for (NodeId n = 0; n < params_.numNodes; ++n) {
         if (n == except || !((llc_line.sharers >> n) & 1))
@@ -181,7 +179,6 @@ BaselineSystem::llcService(NodeId node, Addr line_addr, bool want_excl,
                            Cycles &lat, ServiceLevel &level,
                            Mesi &granted)
 {
-    obs::ProfScope prof(selfProf_, obs::ProfSite::DirProtocol);
     lat += noc_.send(node, farSide(),
                      want_excl ? MsgType::ReadExReq : MsgType::ReadReq);
     // Associative LLC tag search + directory consultation.
@@ -356,7 +353,6 @@ BaselineSystem::installPrivate(NodeId node, AccessType type, Addr line_addr,
 AccessResult
 BaselineSystem::access(NodeId node, const MemAccess &acc, Tick)
 {
-    obs::ProfScope prof(selfProf_, obs::ProfSite::MemAccess);
     if (faults_) [[unlikely]]
         faults_->onAccess();
     ++stats_.accesses;

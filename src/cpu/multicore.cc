@@ -5,7 +5,6 @@
 #include "common/logging.hh"
 #include "obs/debug.hh"
 #include "obs/profiler.hh"
-#include "obs/selfprof.hh"
 #include "obs/snapshot.hh"
 #include "obs/trace.hh"
 
@@ -38,24 +37,6 @@ runMulticore(MemorySystem &system,
 
     obs::SimRateProfiler profiler;
     std::uint64_t total_committed = 0;
-
-    // Self-profiler binding for this thread, for the duration of this
-    // run (parallel sweep jobs each carry their own through
-    // RunOptions, like the snapshotter). ProfScopes below are single
-    // null checks when opts.selfprof is absent.
-    obs::SelfProfAttach selfprofAttach(opts.selfprof);
-    // Hoisted once: the in-loop scopes test this register-resident
-    // pointer instead of re-reading the thread-local every scope, and
-    // the memory system caches it as a member for the same reason.
-    // Cleared on exit so a reused system never dangles into a
-    // destroyed profiler.
-    obs::SelfProfiler *const sp = opts.selfprof;
-    system.setSelfProf(sp);
-    struct SelfProfUnwire
-    {
-        MemorySystem &sys;
-        ~SelfProfUnwire() { sys.setSelfProf(nullptr); }
-    } selfprofUnwire{system};
 
     unsigned remaining = n;
 
@@ -91,10 +72,6 @@ runMulticore(MemorySystem &system,
                                              debug::curTick);
             system.resetStats();
             profiler.phaseReset();
-            // No ProfScope is open between loop iterations, so the
-            // timer tree resets cleanly to the measured phase.
-            if (opts.selfprof) [[unlikely]]
-                opts.selfprof->phaseReset();
             // Marker so post-warmup aggregates recomputed from the
             // trace line up with the (reset) Stats counters.
             obs::traceEvent(obs::TraceKind::StatsReset, 0);
@@ -108,63 +85,34 @@ runMulticore(MemorySystem &system,
             result.lateHitsI = result.lateHitsD = 0;
             result.mergedMissesI = result.mergedMissesD = 0;
         }
-        // Everything below is one simulated-access iteration. A single
-        // root scope spanning it makes the nested sites' own
-        // enter/leave overhead attributed (inside "kernel") instead of
-        // unattributed gap, so the tree honestly covers the measured
-        // phase; it opens after the warmup reset above so no scope is
-        // ever live across a phaseReset().
-        obs::ProfScope iterScope(sp, obs::ProfSite::Kernel);
-
         // Pick the active core with the smallest issue clock.
         unsigned best = n;
-        {
-            obs::ProfScope ps(sp, obs::ProfSite::Sched);
-            for (unsigned i = 0; i < n; ++i) {
-                if (active[i] && (best == n ||
-                                  cores[i].now() < cores[best].now())) {
-                    best = i;
-                }
+        for (unsigned i = 0; i < n; ++i) {
+            if (active[i] && (best == n ||
+                              cores[i].now() < cores[best].now())) {
+                best = i;
             }
         }
         OooModel &core = cores[best];
 
         MemAccess acc;
-        {
-            obs::ProfScope ps(sp, obs::ProfSite::Workload);
-            if (!streams[best]->next(acc)) {
-                active[best] = false;
-                --remaining;
-                continue;
-            }
+        if (!streams[best]->next(acc)) {
+            active[best] = false;
+            --remaining;
+            continue;
         }
 
         // Late-hit detection needs the physical line address, which is
         // stable under repeated translation.
-        Addr paddr;
-        {
-            obs::ProfScope ps(sp, obs::ProfSite::Translate);
-            paddr = system.pageTable().translate(acc.asid, acc.vaddr);
-        }
+        const Addr paddr = system.pageTable().translate(acc.asid, acc.vaddr);
         const Addr line_addr = paddr >> system.params().lineShift();
         const bool merged = core.wouldBeLateHit(line_addr);
 
         if (acc.instCount > 0) {
-            {
-                obs::ProfScope ps(sp, obs::ProfSite::CoreModel);
-                core.issueInstructions(acc.instCount);
-                core.countInstructions(acc.instCount);
-            }
+            core.issueInstructions(acc.instCount);
+            core.countInstructions(acc.instCount);
             total_committed += acc.instCount;
-            if (profiler.maybeHeartbeat(total_committed,
-                                        result.accesses)) {
-                ++result.heartbeats;
-                // Cumulative per-site counters at every heartbeat:
-                // the chrome-trace converter renders them as counter
-                // tracks on the sim timeline.
-                if (opts.selfprof) [[unlikely]]
-                    opts.selfprof->emitTraceCounters();
-            }
+            profiler.maybeHeartbeat(total_committed, result.accesses);
         }
 
         debug::setCurTick(core.now());
@@ -183,10 +131,8 @@ runMulticore(MemorySystem &system,
                         res.latency, res.l1Miss);
         ++result.accesses;
         result.totalAccessLatency += res.latency;
-        if (opts.snapshotter) [[unlikely]] {
-            obs::ProfScope ps(sp, obs::ProfSite::Snapshot);
+        if (opts.snapshotter) [[unlikely]]
             opts.snapshotter->tick(total_committed, core.now());
-        }
 
         if (merged) {
             // Access landed in an open miss window: a "late hit"
@@ -202,16 +148,12 @@ runMulticore(MemorySystem &system,
             }
         }
 
-        {
-            obs::ProfScope ps(sp, obs::ProfSite::CoreModel);
-            core.issueMemAccess(line_addr, res.latency, res.l1Miss,
-                                isIFetch(acc.type));
-        }
+        core.issueMemAccess(line_addr, res.latency, res.l1Miss,
+                            isIFetch(acc.type));
 
         // Golden-memory value checking: the global interleaving is the
         // architectural order.
         if (opts.checkValues) {
-            obs::ProfScope ps(sp, obs::ProfSite::ValueCheck);
             if (isWrite(acc.type)) {
                 golden.store(line_addr, acc.storeValue);
             } else {
@@ -232,7 +174,6 @@ runMulticore(MemorySystem &system,
 
         if (opts.invariantCheckPeriod &&
             result.accesses % opts.invariantCheckPeriod == 0) {
-            obs::ProfScope ps(sp, obs::ProfSite::Invariants);
             // The checker reads raw state, so give the detection layer
             // a chance to heal pending corruption first -- exactly what
             // a real design's background scrubber guarantees.
@@ -275,10 +216,6 @@ runMulticore(MemorySystem &system,
     result.measureWallSec = profiler.measureWallSec();
     result.simKips = profiler.kips();
     debug::setCurTick(result.cycles);
-    // Final cumulative sample so short runs (under one heartbeat
-    // period) still land their counter tracks on the timeline.
-    if (opts.selfprof) [[unlikely]]
-        opts.selfprof->emitTraceCounters();
     obs::traceEvent(obs::TraceKind::RunEnd, 0, result.accesses,
                     result.instructions,
                     static_cast<std::uint64_t>(result.simKips));

@@ -26,7 +26,6 @@
 namespace d2m::obs
 {
 class StatSnapshotter;
-class SelfProfiler;
 } // namespace d2m::obs
 
 namespace d2m
@@ -51,14 +50,13 @@ struct RunResult
     double warmupWallSec = 0;   //!< Wall-clock spent in warmup.
     double measureWallSec = 0;  //!< Wall-clock spent measured.
     double simKips = 0;         //!< Measured kilo-insts / host second.
-    std::uint64_t heartbeats = 0;  //!< Progress heartbeats emitted.
 };
 
 /**
  * Run-loop iterations between two progress/cancel polls. The poll
  * also runs at iteration 0, so an already-set cancel flag aborts
  * before the first access. Polling every access cost sweeps about 3%
- * of wall time (DESIGN.md §16).
+ * of wall time (DESIGN.md §15).
  */
 inline constexpr std::uint64_t kPollEvery = 64;
 
@@ -82,14 +80,6 @@ struct RunOptions
      * so concurrent sweep jobs never share snapshot state.
      */
     obs::StatSnapshotter *snapshotter = nullptr;
-    /**
-     * Self-profiler for THIS run (null = disabled; see
-     * obs/selfprof.hh). Owned by the caller like the snapshotter; the
-     * run loop attaches it to the executing thread, resets it at the
-     * warmup boundary, and emits its chrome-trace counters at each
-     * heartbeat.
-     */
-    obs::SelfProfiler *selfprof = nullptr;
 
     /**
      * Campaign-watchdog liveness counter (null = unmonitored). The

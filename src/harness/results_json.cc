@@ -250,8 +250,7 @@ reserveRunSlots(std::size_t n)
 
 std::string
 buildRunRow(const Metrics &m, MemorySystem &system,
-            const obs::StatSnapshotter *intervals,
-            const std::string &selfprof)
+            const obs::StatSnapshotter *intervals)
 {
     std::ostringstream stats;
     system.printJson(stats);
@@ -262,8 +261,6 @@ buildRunRow(const Metrics &m, MemorySystem &system,
                       ",\"stats\":" + stats.str();
     if (intervals)
         row += ",\"intervals\":" + intervals->rowsJson();
-    if (!selfprof.empty())
-        row += ",\"selfprof\":" + selfprof;
     row += "}";
     return row;
 }

@@ -73,13 +73,9 @@ void exportRunJson(const Metrics &m, MemorySystem &system,
  * optional intervals) without touching the output document. The
  * campaign layer stores this verbatim string so a resumed sweep can
  * re-emit the row byte-identically without re-running anything.
- * @p selfprof, when non-empty, is a prebuilt "selfprof" JSON object
- * (obs::selfprofSection) embedded verbatim as the row's "selfprof"
- * member.
  */
 std::string buildRunRow(const Metrics &m, MemorySystem &system,
-                        const obs::StatSnapshotter *intervals = nullptr,
-                        const std::string &selfprof = "");
+                        const obs::StatSnapshotter *intervals = nullptr);
 
 /** A "runs" row for a cell with no surviving system state (failed or
  * timed-out run): identity + status + attempts + error + metrics. */

@@ -16,7 +16,6 @@
 #include "harness/results_json.hh"
 #include "harness/store.hh"
 #include "harness/watchdog.hh"
-#include "obs/selfprof.hh"
 #include "obs/snapshot.hh"
 #include "obs/trace.hh"
 
@@ -138,24 +137,11 @@ runOneImpl(ConfigKind kind, const NamedWorkload &wl,
     auto snapshotter = obs::StatSnapshotter::fromEnv(*system,
                                                      ctx.intervalCsv);
     ropts.snapshotter = snapshotter.get();
-    // Per-run self-profiler (D2M_SELFPROF): same ownership story as
-    // the snapshotter — one instance per run, threaded through
-    // RunOptions, never shared across sweep jobs.
-    auto selfprof = obs::SelfProfiler::fromEnv();
-    ropts.selfprof = selfprof.get();
     const RunResult run = runMulticore(*system, streams, ropts);
     Metrics m = collectMetrics(kind, wl.suite, wl.name, *system, run);
-    std::string sp;
-    if (selfprof) {
-        const obs::SelfProfRate rate{
-            run.simKips, run.warmupWallSec, run.measureWallSec,
-            run.heartbeats, envU64("D2M_HEARTBEAT", 0) * 1'000'000};
-        sp = obs::selfprofSection(*selfprof, rate);
-        emit(ctx, selfprof->topTable(run.measureWallSec));
-    }
     std::string row;
     if (ctx.rowOut || !resultsJsonPath().empty())
-        row = buildRunRow(m, *system, snapshotter.get(), sp);
+        row = buildRunRow(m, *system, snapshotter.get());
     exportRowJson(row, ctx.slot);
     if (ctx.rowOut)
         *ctx.rowOut = std::move(row);

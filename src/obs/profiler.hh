@@ -59,7 +59,6 @@ class SimRateProfiler
     double kips() const { return kips_; }
 
     std::uint64_t heartbeatsFired() const { return heartbeats_; }
-    std::uint64_t heartbeatPeriod() const { return heartbeatInsts_; }
 
   private:
     using Clock = std::chrono::steady_clock;

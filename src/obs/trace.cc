@@ -7,12 +7,11 @@
 #include "noc/message.hh"
 #include "obs/debug.hh"
 #include "obs/json.hh"
-#include "obs/selfprof.hh"
 
 namespace d2m::obs
 {
 
-thread_local TraceSink *globalSink = nullptr;
+constinit thread_local TraceSink *globalSink = nullptr;
 
 namespace
 {
@@ -26,7 +25,7 @@ constexpr const char *kKindNames[] = {
     "access_issue", "access_complete", "li_hop", "region_class",
     "coh_upgrade", "coh_downgrade", "noc_send", "noc_recv",
     "fault_inject", "fault_detect", "fault_recover", "stats_reset",
-    "heartbeat", "selfprof", "run_end",
+    "heartbeat", "run_end",
 };
 static_assert(sizeof(kKindNames) / sizeof(kKindNames[0]) ==
               static_cast<std::size_t>(TraceKind::NUM_KINDS));
@@ -146,12 +145,6 @@ traceToJson(const TraceRecord &rec)
         append(out, "detail", rec.b);
         break;
       case TraceKind::StatsReset:
-        break;
-      case TraceKind::SelfProf:
-        append(out, "site",
-               profSiteName(static_cast<ProfSite>(rec.addr)));
-        append(out, "us", rec.a);
-        append(out, "calls", rec.b);
         break;
       case TraceKind::Heartbeat:
       case TraceKind::RunEnd:

@@ -48,7 +48,6 @@ enum class TraceKind : std::uint8_t
     FaultRecover,    //!< State rebuilt / line refetched.
     StatsReset,      //!< Warmup ended; Stats counters reset.
     Heartbeat,       //!< Periodic progress record.
-    SelfProf,        //!< Cumulative self-profiler site counter.
     RunEnd,          //!< Run finished (totals).
     NUM_KINDS
 };
@@ -119,9 +118,11 @@ class TraceSink
  * Global sink; null when tracing is disabled. thread_local: the env
  * sink attaches on the main thread; each parallel sweep worker
  * (harness/pool.hh) attaches its own per-job sink so concurrent runs
- * never interleave records in one ring.
+ * never interleave records in one ring. constinit lets the compiler
+ * read it directly instead of through a TLS init wrapper, which
+ * -fsanitize=null reports as a null load.
  */
-extern thread_local TraceSink *globalSink;
+extern constinit thread_local TraceSink *globalSink;
 
 /** @return true when a global trace sink is attached. */
 inline bool traceEnabled() { return globalSink != nullptr; }

@@ -70,32 +70,10 @@ TEST(Manifest, KeyTableIsWellFormed)
     }
 }
 
-TEST(Manifest, SelfprofKeysParse)
-{
-    Manifest m = parseManifestText(
-        "[obs]\nselfprof = 1\nselfprof_top = 15\n", "t");
-    ASSERT_EQ(m.entries.size(), 2u);
-    EXPECT_EQ(m.entries[0].env, "D2M_SELFPROF");
-    EXPECT_EQ(m.entries[0].value, "1");
-    EXPECT_EQ(m.entries[1].env, "D2M_SELFPROF_TOP");
-    EXPECT_EQ(m.entries[1].value, "15");
-}
-
-TEST(ManifestDeathTest, NonNumericSelfprofIsFatal)
-{
-    // The self-profiler's observability keys are numeric: the
-    // manifest validator must reject junk values.
-    EXPECT_EXIT(parseManifestText("[obs]\nselfprof_top = four\n", "t"),
-                testing::ExitedWithCode(1), "not an unsigned integer");
-    EXPECT_EXIT(parseManifestText("[obs]\nselfprof = yes\n", "t"),
-                testing::ExitedWithCode(1), "not an unsigned integer");
-}
-
 TEST(ManifestDeathTest, UnknownObsKeyIsFatal)
 {
-    EXPECT_EXIT(parseManifestText("[obs]\nselfprof_topn = 5\n", "t"),
-                testing::ExitedWithCode(1),
-                "unknown key 'selfprof_topn'");
+    EXPECT_EXIT(parseManifestText("[obs]\nselfprof = 1\n", "t"),
+                testing::ExitedWithCode(1), "unknown key 'selfprof'");
     EXPECT_EXIT(parseManifestText("[obs]\nlanes = 4\n", "t"),
                 testing::ExitedWithCode(1), "unknown key 'lanes'");
 }
