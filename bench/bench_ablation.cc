@@ -78,7 +78,7 @@ main()
         TextTable table({"variant", "speedup", "traffic", "EDP",
                          "priv miss %", "NS local %"});
         for (const auto &v : variants) {
-            if (std::getenv("D2M_QUIET") == nullptr) {
+            if (benchVerbose()) {
                 std::fprintf(stderr, "  %s: %s...\n", wl.name.c_str(),
                              v.name);
             }

@@ -32,7 +32,7 @@ main()
     } acc;
 
     for (const auto &wl : benchWorkloads()) {
-        if (std::getenv("D2M_QUIET") == nullptr) {
+        if (benchVerbose()) {
             std::fprintf(stderr, "  running %s/%s on D2M-FS...\n",
                          wl.suite.c_str(), wl.name.c_str());
         }

@@ -13,10 +13,10 @@
 #define D2M_BENCH_BENCH_COMMON_HH
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/knobs.hh"
 #include "harness/report.hh"
 #include "harness/results_json.hh"
 #include "harness/runner.hh"
@@ -34,6 +34,13 @@ benchInsts()
     return 100'000;
 }
 
+/** Progress lines to stderr unless D2M_QUIET is non-zero. */
+inline bool
+benchVerbose()
+{
+    return knobU64(Knob::Quiet) == 0;
+}
+
 /** Sweep options shared by the bench binaries. */
 inline SweepOptions
 benchOptions()
@@ -41,7 +48,6 @@ benchOptions()
     SweepOptions opts;
     opts.instsPerCore = benchInsts();
     opts.warmupInstsPerCore = ~std::uint64_t(0);  // default: = measured
-    opts.verbose = std::getenv("D2M_QUIET") == nullptr;
     return opts;
 }
 
@@ -77,19 +83,12 @@ struct RawRun
 /** Like runOne but returns the system (for D2M event counters). */
 inline RawRun
 runRaw(ConfigKind kind, const NamedWorkload &wl,
-       SweepOptions opts = benchOptions())
+       const SweepOptions &opts = benchOptions())
 {
+    CellSetup cell = setUpCell(kind, wl, opts);
     RawRun out;
-    out.system = makeSystem(kind, opts.baseParams);
-    std::uint64_t measured = opts.instsPerCore
-                                 ? opts.instsPerCore
-                                 : wl.params.instructionsPerCore;
-    auto streams = makeStreams(wl, out.system->params().numNodes,
-                               out.system->params().lineSize,
-                               2 * measured);
-    RunOptions ropts = opts.runOptions;
-    ropts.warmupInstsPerCore = measured;
-    out.result = runMulticore(*out.system, streams, ropts);
+    out.result = runMulticore(*cell.system, cell.streams, cell.runOptions);
+    out.system = std::move(cell.system);
     return out;
 }
 
@@ -101,11 +100,10 @@ runRaw(ConfigKind kind, const NamedWorkload &wl,
 inline void
 writeBenchJson(const char *name, const std::vector<Metrics> &rows)
 {
-    const char *dir = std::getenv("D2M_BENCH_JSON_DIR");
-    if (!dir)
+    const std::string dir = knobStr(Knob::BenchJsonDir);
+    if (dir.empty())
         return;
-    const std::string path =
-        std::string(dir) + "/BENCH_" + name + ".json";
+    const std::string path = dir + "/BENCH_" + name + ".json";
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f) {
         std::fprintf(stderr, "warn: cannot write %s\n", path.c_str());

@@ -39,7 +39,7 @@ main()
         std::vector<std::string> cells{b2->suite, name};
         for (const auto kind : configs) {
             const Metrics *m = findRow(rows, name, configKindName(kind));
-            cells.push_back(fmt(m ? m->msgsPerKiloInst : 0));
+            cells.push_back(m ? fmt(m->msgsPerKiloInst) : "-");
         }
         cells.push_back(fmt(nsr->d2mMsgsPerKiloInst));
         cells.push_back(fmt(nsr->msgsPerKiloInst /
@@ -64,12 +64,11 @@ main()
             }
         }
         if (!ratios.empty()) {
-            std::printf("  %-10s %.2fx (%+.0f%%)\n", suite.c_str(),
-                        geomean(ratios), 100.0 * (geomean(ratios) - 1));
+            std::printf("  %-10s %s\n", suite.c_str(),
+                        fmtGeomeanRatio(ratios).c_str());
         }
     }
-    std::printf("  %-10s %.2fx (%+.0f%%)   [paper: -70%% average]\n",
-                "ALL", geomean(all_ratios),
-                100.0 * (geomean(all_ratios) - 1));
+    std::printf("  %-10s %s   [paper: -70%% average]\n", "ALL",
+                fmtGeomeanRatio(all_ratios).c_str());
     return d2m::bench::benchExitCode();
 }

@@ -35,7 +35,7 @@ main()
         std::vector<std::string> cells{b2->suite, name};
         for (const auto kind : configs) {
             const Metrics *m = findRow(rows, name, configKindName(kind));
-            cells.push_back(fmt(m ? m->edp / b2->edp : 0, 2));
+            cells.push_back(m ? fmt(m->edp / b2->edp, 2) : "-");
         }
         table.addRow(std::move(cells));
     }
@@ -49,19 +49,18 @@ main()
             if (b && m && b->edp > 0)
                 ratios.push_back(m->edp / b->edp);
         }
-        return geomean(ratios);
+        return fmtGeomeanRatio(ratios);
     };
 
     std::printf("EDP of D2M-NS-R (geomean):\n");
-    std::printf("  vs Base-2L: %.2fx (%+.0f%%)   [paper: -54%%]\n",
-                overall("D2M-NS-R", "Base-2L"),
-                100.0 * (overall("D2M-NS-R", "Base-2L") - 1));
-    std::printf("  vs Base-3L: %.2fx (%+.0f%%)   [paper: -40%%]\n",
-                overall("D2M-NS-R", "Base-3L"),
-                100.0 * (overall("D2M-NS-R", "Base-3L") - 1));
-    std::printf("Per-step EDP vs Base-2L (geomean): FS %.2fx, NS %.2fx, "
-                "NS-R %.2fx\n",
-                overall("D2M-FS", "Base-2L"), overall("D2M-NS", "Base-2L"),
-                overall("D2M-NS-R", "Base-2L"));
+    std::printf("  vs Base-2L: %s   [paper: -54%%]\n",
+                overall("D2M-NS-R", "Base-2L").c_str());
+    std::printf("  vs Base-3L: %s   [paper: -40%%]\n",
+                overall("D2M-NS-R", "Base-3L").c_str());
+    std::printf("Per-step EDP vs Base-2L (geomean): FS %s, NS %s, "
+                "NS-R %s\n",
+                overall("D2M-FS", "Base-2L").c_str(),
+                overall("D2M-NS", "Base-2L").c_str(),
+                overall("D2M-NS-R", "Base-2L").c_str());
     return d2m::bench::benchExitCode();
 }

@@ -58,15 +58,15 @@ main()
                 r.push_back(m->ipc / b->ipc);
             }
         }
-        return 100.0 * (geomean(r) - 1);
+        return fmtGeomeanPct(r);
     };
 
     std::printf("Speedup over Base-2L (geomean):\n");
     for (const char *cfg : {"Base-3L", "D2M-FS", "D2M-NS", "D2M-NS-R"}) {
-        std::printf("  %-9s all %+6.1f%%  |", cfg, speedup(cfg, ""));
+        std::printf("  %-9s all %7s  |", cfg, speedup(cfg, "").c_str());
         for (const auto &suite : suiteNames())
-            std::printf(" %s %+.1f%%", suite.c_str(),
-                        speedup(cfg, suite));
+            std::printf(" %s %s", suite.c_str(),
+                        speedup(cfg, suite).c_str());
         std::printf("\n");
     }
     std::printf("  [paper: Base-3L +4%%, D2M-FS +5.7%%, D2M-NS +7%%, "
@@ -79,9 +79,9 @@ main()
         if (b && m && b->avgMissLatency > 0)
             lat_ratios.push_back(m->avgMissLatency / b->avgMissLatency);
     }
-    std::printf("Average L1 miss latency, D2M-NS-R vs Base-2L: %.2fx "
-                "(%+.0f%%)   [paper: -30%%]\n",
-                geomean(lat_ratios), 100.0 * (geomean(lat_ratios) - 1));
+    std::printf("Average L1 miss latency, D2M-NS-R vs Base-2L: %s   "
+                "[paper: -30%%]\n",
+                fmtGeomeanRatio(lat_ratios).c_str());
 
     std::printf("\nTail latency (L1 miss latency percentiles, "
                 "cycles):\n%s\n",

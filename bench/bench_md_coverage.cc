@@ -27,7 +27,7 @@ main()
     // [md level][data level] accumulated over all workloads.
     double matrix[3][5] = {};
     for (const auto &wl : benchWorkloads()) {
-        if (std::getenv("D2M_QUIET") == nullptr) {
+        if (benchVerbose()) {
             std::fprintf(stderr, "  running %s/%s...\n", wl.suite.c_str(),
                          wl.name.c_str());
         }

@@ -39,7 +39,7 @@ main()
         double md1 = 0, md2 = 0, md3 = 0, direct = 0, local = 0;
         unsigned n = 0;
         for (size_t i = 0; i < workloads.size(); ++i) {
-            if (std::getenv("D2M_QUIET") == nullptr) {
+            if (benchVerbose()) {
                 std::fprintf(stderr, "  %ux: %s/%s...\n", scale,
                              workloads[i].suite.c_str(),
                              workloads[i].name.c_str());
@@ -64,7 +64,7 @@ main()
                       std::to_string(128 * scale) + "/" +
                           std::to_string(4096 * scale) + "/" +
                           std::to_string(16384 * scale),
-                      fmt(100.0 * (geomean(ratios) - 1), 1) + "%",
+                      fmtGeomeanPct(ratios),
                       fmt(lookups > 0 ? 100.0 * md1 / lookups : 0, 1),
                       fmt(n ? direct / n : 0, 1),
                       fmt(n ? local / n : 0, 1)});

@@ -39,8 +39,8 @@ void informImpl(const std::string &msg);
 /**
  * Prefix prepended to every inform()/warn() line emitted by the
  * calling thread ("" = none). The parallel sweep runner tags its pool
- * threads with "[job<N>] " so interleaved heartbeat / progress /
- * warning lines remain attributable to a grid cell.
+ * threads with "[job<N>] " so interleaved progress / warning lines
+ * remain attributable to a grid cell.
  */
 void setThreadLogPrefix(std::string prefix);
 

@@ -1,10 +1,10 @@
 #include "cpu/multicore.hh"
 
 #include <algorithm>
+#include <chrono>
 
 #include "common/logging.hh"
 #include "obs/debug.hh"
-#include "obs/profiler.hh"
 #include "obs/snapshot.hh"
 #include "obs/trace.hh"
 
@@ -35,7 +35,10 @@ runMulticore(MemorySystem &system,
     std::uint64_t insts_at_reset = 0;
     Tick cycles_at_reset = 0;
 
-    obs::SimRateProfiler profiler;
+    // Host wall clock of the warmup and measured phases.
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point start = Clock::now();
+    Clock::time_point measure_start = start;
     std::uint64_t total_committed = 0;
 
     unsigned remaining = n;
@@ -71,7 +74,7 @@ runMulticore(MemorySystem &system,
                 opts.snapshotter->statsReset(total_committed,
                                              debug::curTick);
             system.resetStats();
-            profiler.phaseReset();
+            measure_start = Clock::now();
             // Marker so post-warmup aggregates recomputed from the
             // trace line up with the (reset) Stats counters.
             obs::traceEvent(obs::TraceKind::StatsReset, 0);
@@ -112,7 +115,6 @@ runMulticore(MemorySystem &system,
             core.issueInstructions(acc.instCount);
             core.countInstructions(acc.instCount);
             total_committed += acc.instCount;
-            profiler.maybeHeartbeat(total_committed, result.accesses);
         }
 
         debug::setCurTick(core.now());
@@ -211,10 +213,15 @@ runMulticore(MemorySystem &system,
     result.cycles -= std::min(result.cycles, cycles_at_reset);
     result.instructions -= std::min(result.instructions, insts_at_reset);
 
-    profiler.finish(result.instructions);
-    result.warmupWallSec = profiler.warmupWallSec();
-    result.measureWallSec = profiler.measureWallSec();
-    result.simKips = profiler.kips();
+    const auto seconds = [](Clock::duration d) {
+        return std::chrono::duration<double>(d).count();
+    };
+    result.warmupWallSec = seconds(measure_start - start);
+    result.measureWallSec = seconds(Clock::now() - measure_start);
+    result.simKips = result.measureWallSec > 0.0
+                         ? static_cast<double>(result.instructions) /
+                               result.measureWallSec / 1000.0
+                         : 0.0;
     debug::setCurTick(result.cycles);
     obs::traceEvent(obs::TraceKind::RunEnd, 0, result.accesses,
                     result.instructions,

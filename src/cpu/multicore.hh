@@ -46,7 +46,7 @@ struct RunResult
     std::uint64_t invariantErrors = 0;
     std::string firstError;
 
-    // Host-side simulation-rate profile (obs/profiler.hh).
+    // Host wall clock of the two phases, timed by runMulticore.
     double warmupWallSec = 0;   //!< Wall-clock spent in warmup.
     double measureWallSec = 0;  //!< Wall-clock spent measured.
     double simKips = 0;         //!< Measured kilo-insts / host second.

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/knobs.hh"
 #include "common/logging.hh"
 
 namespace d2m
@@ -26,23 +27,11 @@ trim(const std::string &s)
     return s.substr(b, e - b);
 }
 
-/** Strict unsigned-integer check, mirroring common/env.cc envU64. */
-bool
-isStrictU64(const std::string &v)
-{
-    if (v.empty() || v[0] == '-')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    std::strtoull(v.c_str(), &end, 10);
-    return errno != ERANGE && end != v.c_str() && *end == '\0';
-}
-
-const ManifestKey *
+const KnobRow *
 findKey(const std::string &section, const std::string &key)
 {
-    for (const ManifestKey &k : manifestKeys()) {
-        if (section == k.section && key == k.key)
+    for (const KnobRow &k : knobTable()) {
+        if (k.section && section == k.section && key == k.key)
             return &k;
     }
     return nullptr;
@@ -51,8 +40,8 @@ findKey(const std::string &section, const std::string &key)
 bool
 knownSection(const std::string &section)
 {
-    for (const ManifestKey &k : manifestKeys()) {
-        if (section == k.section)
+    for (const KnobRow &k : knobTable()) {
+        if (k.section && section == k.section)
             return true;
     }
     return false;
@@ -62,8 +51,8 @@ std::string
 keysInSection(const std::string &section)
 {
     std::string out;
-    for (const ManifestKey &k : manifestKeys()) {
-        if (section != k.section)
+    for (const KnobRow &k : knobTable()) {
+        if (!k.section || section != k.section)
             continue;
         if (!out.empty())
             out += ", ";
@@ -76,8 +65,8 @@ std::string
 sectionNames()
 {
     std::string out;
-    for (const ManifestKey &k : manifestKeys()) {
-        if (out.find(k.section) != std::string::npos)
+    for (const KnobRow &k : knobTable()) {
+        if (!k.section || out.find(k.section) != std::string::npos)
             continue;
         if (!out.empty())
             out += ", ";
@@ -87,42 +76,6 @@ sectionNames()
 }
 
 } // namespace
-
-const std::vector<ManifestKey> &
-manifestKeys()
-{
-    // One row per recognised knob. The env mapping is the whole
-    // semantics: applyManifest seeds these variables and the existing
-    // harness/obs plumbing reads them exactly as it always has.
-    static const std::vector<ManifestKey> keys = {
-        {"campaign", "store_dir", "D2M_STORE_DIR", false},
-        {"campaign", "stats_json", "D2M_STATS_JSON", false},
-        {"campaign", "progress_json", "D2M_PROGRESS_JSON", false},
-        {"campaign", "progress_sec", "D2M_PROGRESS_SEC", true},
-        {"campaign", "jobs", "D2M_JOBS", true},
-        {"campaign", "timeout_sec", "D2M_RUN_TIMEOUT", true},
-        {"campaign", "retries", "D2M_RUN_RETRIES", true},
-        {"campaign", "resume", "D2M_RESUME", true},
-        {"campaign", "build_fingerprint", "D2M_BUILD_FINGERPRINT", false},
-        {"campaign", "quiet", "D2M_QUIET", true},
-        {"grid", "configs", "D2M_CONFIG_FILTER", false},
-        {"grid", "suites", "D2M_SUITE_FILTER", false},
-        {"grid", "benchmarks", "D2M_BENCH_FILTER", false},
-        {"grid", "insts_per_core", "D2M_INSTS_PER_CORE", true},
-        {"grid", "nodes", "D2M_NODES", true},
-        {"grid", "warmup", "D2M_WARMUP", true},
-        {"grid", "seed", "D2M_SEED", true},
-        {"obs", "heartbeat_minsts", "D2M_HEARTBEAT", true},
-        {"obs", "debug", "D2M_DEBUG", false},
-        {"obs", "trace_file", "D2M_TRACE_FILE", false},
-        {"obs", "trace_buf", "D2M_TRACE_BUF", true},
-        {"obs", "interval_insts", "D2M_INTERVAL_INSTS", true},
-        {"obs", "interval_ticks", "D2M_INTERVAL_TICKS", true},
-        {"obs", "interval_csv", "D2M_INTERVAL_CSV", false},
-        {"obs", "bench_json_dir", "D2M_BENCH_JSON_DIR", false},
-    };
-    return keys;
-}
 
 Manifest
 parseManifestText(const std::string &text, const std::string &source)
@@ -170,15 +123,17 @@ parseManifestText(const std::string &text, const std::string &source)
                  "%s:%d: empty value for '%s.%s' (delete the line to "
                  "keep the default)",
                  source.c_str(), lineNo, section.c_str(), e.key.c_str());
-        const ManifestKey *spec = findKey(section, e.key);
+        const KnobRow *spec = findKey(section, e.key);
         fatal_if(!spec,
                  "%s:%d: unknown key '%s' in [%s] (known: %s)",
                  source.c_str(), lineNo, e.key.c_str(), section.c_str(),
                  keysInSection(section).c_str());
-        fatal_if(spec->numeric && !isStrictU64(e.value),
-                 "%s:%d: %s.%s=\"%s\": not an unsigned integer",
-                 source.c_str(), lineNo, section.c_str(), e.key.c_str(),
-                 e.value.c_str());
+        std::uint64_t v;
+        const char *why = spec->kind == KnobKind::U64
+                              ? parseKnobU64(e.value.c_str(), v)
+                              : nullptr;
+        fatal_if(why, "%s:%d: %s.%s=\"%s\": %s", source.c_str(), lineNo,
+                 section.c_str(), e.key.c_str(), e.value.c_str(), why);
         for (const ManifestEntry &prev : m.entries) {
             fatal_if(prev.section == e.section && prev.key == e.key,
                      "%s:%d: duplicate key '%s.%s' (first set on "

@@ -19,17 +19,18 @@
  *   suites         = hpc,mobile
  *   insts_per_core = 20000
  *
- * Every key maps 1:1 onto an existing environment knob, and applying
- * a manifest simply seeds the environment — which makes the
+ * The keys are the section/key columns of the knob table
+ * (common/knobs.hh): each maps 1:1 onto an environment knob, and
+ * applying a manifest simply seeds the environment — which makes the
  * equivalence guarantee structural: a manifest-driven campaign IS the
  * env-var-driven campaign. Variables already present in the
  * environment win over manifest values (command-line experimentation
  * overrides the file, the file overrides nothing the user said).
  *
- * Parsing is strict in the src/common/env.* tradition: unknown
- * sections or keys, duplicate keys, empty values, and malformed
- * numeric values are fatal() configuration errors with the offending
- * line number, never silent defaults.
+ * Parsing is as strict as the knob readers: unknown sections or keys,
+ * duplicate keys, empty values, and malformed numeric values are
+ * fatal() configuration errors with the offending line number, never
+ * silent defaults.
  */
 
 #ifndef D2M_HARNESS_MANIFEST_HH
@@ -62,22 +63,10 @@ struct Manifest
     std::vector<ManifestEntry> entries;
 };
 
-/** The recognised "section.key -> env var" mappings. */
-struct ManifestKey
-{
-    const char *section;
-    const char *key;
-    const char *env;
-    bool numeric;  //!< Value validated as a strict unsigned integer.
-};
-
-/** Full mapping table (for --help output, docs, and tests). */
-const std::vector<ManifestKey> &manifestKeys();
-
 /**
  * Parse manifest @p text. @p source names the input in diagnostics.
- * Unknown section/key, duplicate key, empty value, value for a
- * numeric key that is not a strict unsigned integer, or any syntax
+ * Unknown section/key, duplicate key, empty value, value for an
+ * unsigned knob that is not a strict unsigned integer, or any syntax
  * error is fatal().
  */
 Manifest parseManifestText(const std::string &text,

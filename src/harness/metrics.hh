@@ -85,7 +85,7 @@ struct Metrics
     std::uint64_t recoveryCycles = 0;
     double avgDetectionLatency = 0;      //!< Accesses, injection->detect.
 
-    // Host-side simulation-rate profile (obs/profiler.hh).
+    // Host wall clock of the run (RunResult, timed by runMulticore).
     double simKips = 0;          //!< Kilo-insts per host second.
     double warmupWallSec = 0;
     double measureWallSec = 0;

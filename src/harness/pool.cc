@@ -2,7 +2,7 @@
 
 #include <cstdlib>
 
-#include "common/env.hh"
+#include "common/knobs.hh"
 #include "common/logging.hh"
 
 namespace d2m
@@ -124,7 +124,7 @@ WorkStealingPool::workerLoop(unsigned self)
 unsigned
 WorkStealingPool::defaultJobs()
 {
-    const std::uint64_t env = envU64("D2M_JOBS", 0);
+    const std::uint64_t env = knobU64(Knob::Jobs);
     if (env > 0)
         return static_cast<unsigned>(env);
     const unsigned hw = std::thread::hardware_concurrency();

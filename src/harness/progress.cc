@@ -5,7 +5,7 @@
 #include <cerrno>
 #include <cstring>
 
-#include "common/env.hh"
+#include "common/knobs.hh"
 #include "common/logging.hh"
 #include "obs/json.hh"
 
@@ -31,9 +31,8 @@ CampaignProgress::Config
 CampaignProgress::fromEnv(bool verbose)
 {
     Config cfg;
-    if (const char *p = std::getenv("D2M_PROGRESS_JSON"); p && *p)
-        cfg.jsonPath = p;
-    cfg.periodMs = envU64("D2M_PROGRESS_SEC", 2) * 1000;
+    cfg.jsonPath = knobStr(Knob::ProgressJson);
+    cfg.periodMs = knobU64(Knob::ProgressSec) * 1000;
     cfg.tty = verbose && ::isatty(2);
     return cfg;
 }

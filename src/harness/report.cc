@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/logging.hh"
+
 namespace d2m
 {
 
@@ -67,12 +69,27 @@ fmt(double v, int decimals)
     return buf;
 }
 
+std::string
+fmtGeomeanRatio(const std::vector<double> &ratios)
+{
+    const double g = geomean(ratios);
+    return g > 0 ? vformat("%.2fx (%+.0f%%)", g, 100.0 * (g - 1)) : "n/a";
+}
+
+std::string
+fmtGeomeanPct(const std::vector<double> &ratios)
+{
+    const double g = geomean(ratios);
+    return g > 0 ? vformat("%+.1f%%", 100.0 * (g - 1)) : "n/a";
+}
+
 const Metrics *
 findRow(const std::vector<Metrics> &rows, const std::string &benchmark,
         const std::string &config)
 {
     for (const auto &m : rows) {
-        if (m.benchmark == benchmark && m.config == config)
+        if (m.benchmark == benchmark && m.config == config &&
+            m.status == "ok")
             return &m;
     }
     return nullptr;

@@ -36,7 +36,14 @@ class TextTable
 /** Format @p v with @p decimals digits. */
 std::string fmt(double v, int decimals = 1);
 
-/** Select rows for one (benchmark, config). */
+/** "0.73x (-27%)": geomean of @p ratios; "n/a" with no positive one. */
+std::string fmtGeomeanRatio(const std::vector<double> &ratios);
+
+/** "+3.1%": geomean of @p ratios as a change; "n/a" with none. */
+std::string fmtGeomeanPct(const std::vector<double> &ratios);
+
+/** The "ok" row for one (benchmark, config); null when the cell is
+ * missing or failed, so a failed cell never reads as a result. */
 const Metrics *findRow(const std::vector<Metrics> &rows,
                        const std::string &benchmark,
                        const std::string &config);

@@ -1,12 +1,12 @@
 #include "harness/results_json.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <vector>
 
+#include "common/knobs.hh"
 #include "common/logging.hh"
 #include "obs/json.hh"
 
@@ -232,10 +232,7 @@ metricsFromJson(const json::Value &v, Metrics *out)
 const std::string &
 resultsJsonPath()
 {
-    static const std::string path = [] {
-        const char *p = std::getenv("D2M_STATS_JSON");
-        return std::string(p ? p : "");
-    }();
+    static const std::string path = knobStr(Knob::StatsJson);
     return path;
 }
 

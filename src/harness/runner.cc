@@ -3,13 +3,12 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
 #include <unistd.h>
 
-#include "common/env.hh"
+#include "common/knobs.hh"
 #include "common/logging.hh"
 #include "harness/pool.hh"
 #include "harness/progress.hh"
@@ -44,26 +43,7 @@ struct RunContext
     /** Committed-instruction counter for the campaign progress
      * stream (null = unmonitored). */
     std::atomic<std::uint64_t> *insts = nullptr;
-    /** Full replacement for the D2M_INTERVAL_CSV path ("" = use the
-     * configured path as-is). Multi-cell sweeps pass "iv.<slot>.csv"
-     * style names so every run keeps its interval rows. */
-    std::string intervalCsv;
 };
-
-/** "<stem>.<slot>.<ext>" for @p path — "iv.csv" + slot 7 = "iv.7.csv"
- * (no extension: append ".<slot>"). */
-std::string
-perRunCsvPath(const std::string &path, std::uint64_t slot)
-{
-    const std::size_t slash = path.find_last_of('/');
-    const std::size_t dot = path.find_last_of('.');
-    const std::string tag = "." + std::to_string(slot);
-    if (dot == std::string::npos ||
-        (slash != std::string::npos && dot < slash)) {
-        return path + tag;
-    }
-    return path.substr(0, dot) + tag + path.substr(dot);
-}
 
 double
 unixNow()
@@ -96,7 +76,7 @@ SystemParams
 resolveBaseParams(const SweepOptions &opts)
 {
     SystemParams p = opts.baseParams;
-    if (const std::uint64_t n = envU64("D2M_NODES", 0))
+    if (const std::uint64_t n = knobU64(Knob::Nodes))
         p.numNodes = static_cast<unsigned>(n);
     return p;
 }
@@ -111,8 +91,10 @@ resolveRunLength(const NamedWorkload &wl, const SweepOptions &opts)
     if (len.measured == 0)
         len.measured = wl.params.instructionsPerCore;
     len.warmup = opts.warmupInstsPerCore;
-    if (len.warmup == ~std::uint64_t(0))
-        len.warmup = envU64("D2M_WARMUP", len.measured);
+    if (len.warmup == ~std::uint64_t(0)) {
+        len.warmup = knobSet(Knob::Warmup) ? knobU64(Knob::Warmup)
+                                           : len.measured;
+    }
     return len;
 }
 
@@ -120,28 +102,22 @@ Metrics
 runOneImpl(ConfigKind kind, const NamedWorkload &wl,
            const SweepOptions &opts, const RunContext &ctx)
 {
-    auto system = makeSystem(kind, resolveBaseParams(opts));
-    const RunLength len = resolveRunLength(wl, opts);
-
-    auto streams = makeStreams(wl, system->params().numNodes,
-                               system->params().lineSize,
-                               len.measured + len.warmup);
-    RunOptions ropts = opts.runOptions;
-    ropts.warmupInstsPerCore = len.warmup;
+    CellSetup cell = setUpCell(kind, wl, opts);
+    MemorySystem &system = *cell.system;
+    RunOptions &ropts = cell.runOptions;
     ropts.progress = ctx.progress;
     ropts.cancel = ctx.cancel;
     ropts.instsProgress = ctx.insts;
-    // Per-run interval stats (D2M_INTERVAL_INSTS / _TICKS / _CSV):
-    // the snapshotter attaches to this system's stats tree and rides
-    // through RunOptions, so concurrent runs never share one.
-    auto snapshotter = obs::StatSnapshotter::fromEnv(*system,
-                                                     ctx.intervalCsv);
+    // Per-run interval stats (D2M_INTERVAL_INSTS): the snapshotter
+    // attaches to this system's stats tree and rides through
+    // RunOptions, so concurrent runs never share one.
+    auto snapshotter = obs::StatSnapshotter::fromEnv(system);
     ropts.snapshotter = snapshotter.get();
-    const RunResult run = runMulticore(*system, streams, ropts);
-    Metrics m = collectMetrics(kind, wl.suite, wl.name, *system, run);
+    const RunResult run = runMulticore(system, cell.streams, ropts);
+    Metrics m = collectMetrics(kind, wl.suite, wl.name, system, run);
     std::string row;
     if (ctx.rowOut || !resultsJsonPath().empty())
-        row = buildRunRow(m, *system, snapshotter.get());
+        row = buildRunRow(m, system, snapshotter.get());
     exportRowJson(row, ctx.slot);
     if (ctx.rowOut)
         *ctx.rowOut = std::move(row);
@@ -162,16 +138,14 @@ runOneImpl(ConfigKind kind, const NamedWorkload &wl,
  * == 0) stays serial when a single-file trace output is configured
  * and D2M_JOBS doesn't explicitly override — an existing
  * `D2M_TRACE_FILE=t.jsonl ./d2m_sweep` invocation keeps producing
- * exactly the file it always did. Interval CSVs no longer force
- * serial: multi-cell sweeps write per-run "iv.<slot>.csv" files
- * whether serial or parallel.
+ * exactly the file it always did.
  */
 unsigned
 resolveJobs(const SweepOptions &opts, std::size_t total)
 {
     unsigned jobs = opts.jobs;
     if (jobs == 0) {
-        if (envU64("D2M_JOBS", 0) > 0) {
+        if (knobU64(Knob::Jobs) > 0) {
             jobs = WorkStealingPool::defaultJobs();
         } else if (!obs::traceFilePath().empty()) {
             jobs = 1;
@@ -296,6 +270,21 @@ campaignExitCode()
     return campaignExitCode(processOutcomeRef());
 }
 
+CellSetup
+setUpCell(ConfigKind kind, const NamedWorkload &wl,
+          const SweepOptions &opts)
+{
+    CellSetup cell;
+    cell.system = makeSystem(kind, resolveBaseParams(opts));
+    const RunLength len = resolveRunLength(wl, opts);
+    cell.streams = makeStreams(wl, cell.system->params().numNodes,
+                               cell.system->params().lineSize,
+                               len.measured + len.warmup);
+    cell.runOptions = opts.runOptions;
+    cell.runOptions.warmupInstsPerCore = len.warmup;
+    return cell;
+}
+
 Metrics
 runOne(ConfigKind kind, const NamedWorkload &wl, const SweepOptions &opts)
 {
@@ -333,11 +322,11 @@ runSweep(const std::vector<ConfigKind> &configs,
     const std::uint64_t timeoutMs =
         opts.runTimeoutMs != ~std::uint64_t(0)
             ? opts.runTimeoutMs
-            : envU64("D2M_RUN_TIMEOUT", 0) * 1000;
+            : knobU64(Knob::RunTimeout) * 1000;
     const std::uint64_t retries =
         opts.runRetries != ~std::uint64_t(0) ? opts.runRetries
-                                             : envU64("D2M_RUN_RETRIES", 0);
-    const bool resume = envU64("D2M_RESUME", 1) != 0;
+                                             : knobU64(Knob::RunRetries);
+    const bool resume = knobU64(Knob::Resume) != 0;
     auto store = ResultStore::fromEnv();
 
     // Campaign progress stream (D2M_PROGRESS_JSON + TTY status line).
@@ -354,14 +343,6 @@ runSweep(const std::vector<ConfigKind> &configs,
     auto campaign = CampaignProgress::make(
         CampaignProgress::fromEnv(opts.verbose),
         std::move(progressCells));
-
-    // Per-run interval CSVs: any sweep of more than one cell writes
-    // "iv.<slot>.csv"-style files so no run overwrites another's rows
-    // (a single-cell sweep keeps the configured path byte-for-byte).
-    std::string intervalCsvBase;
-    if (const char *csv = std::getenv("D2M_INTERVAL_CSV"); csv && *csv)
-        intervalCsvBase = csv;
-    const bool perRunCsv = !intervalCsvBase.empty() && specs.size() > 1;
 
     SweepOutcome outcome;
     outcome.total = specs.size();
@@ -426,14 +407,13 @@ runSweep(const std::vector<ConfigKind> &configs,
             // Per-job observability files: job N of this sweep writes
             // <path>.jobN so concurrent runs never share a sink.
             ctx.obsSuffix = ".job" + std::to_string(i);
-            // Heartbeat / progress / warning lines from this pool
+            // Progress / warning lines from this pool
             // thread carry the cell's job tag so interleaved output
             // stays attributable.
             setThreadLogPrefix("[job" + std::to_string(i) + "] ");
             if (!obs::traceFilePath().empty()) {
                 sink = std::make_unique<obs::TraceSink>(
-                    obs::traceFilePath() + ctx.obsSuffix,
-                    obs::traceBufCapacity());
+                    obs::traceFilePath() + ctx.obsSuffix);
                 prevSink = obs::setGlobalSink(sink.get());
             }
         }
@@ -441,8 +421,6 @@ runSweep(const std::vector<ConfigKind> &configs,
         ctx.progress = &client->progress;
         ctx.cancel = &client->cancel;
         ctx.insts = &client->insts;
-        if (perRunCsv)
-            ctx.intervalCsv = perRunCsvPath(intervalCsvBase, baseSlot + i);
         std::string row;
         if (store)
             ctx.rowOut = &row;
@@ -661,24 +639,17 @@ matchesFilter(const std::string &value, const std::string &spec)
 std::vector<NamedWorkload>
 filteredWorkloads(std::vector<NamedWorkload> workloads)
 {
-    const char *suite = std::getenv("D2M_SUITE_FILTER");
-    const char *bench = std::getenv("D2M_BENCH_FILTER");
-    if (suite || bench) {
-        std::vector<NamedWorkload> out;
-        for (auto &wl : workloads) {
-            if (suite && !matchesFilter(wl.suite, suite))
-                continue;
-            if (bench && !matchesFilter(wl.name, bench))
-                continue;
-            out.push_back(wl);
-        }
-        workloads = std::move(out);
-    }
+    const std::string suite = knobStr(Knob::SuiteFilter);
+    const std::string bench = knobStr(Knob::BenchFilter);
+    std::erase_if(workloads, [&](const NamedWorkload &wl) {
+        return !matchesFilter(wl.suite, suite) ||
+               !matchesFilter(wl.name, bench);
+    });
     // Campaign-wide seed override: one knob repoints every workload's
     // stream generator (the per-attempt retry jitter still applies on
     // top of it).
-    if (std::getenv("D2M_SEED")) {
-        const std::uint64_t seed = envU64("D2M_SEED", 0);
+    if (knobSet(Knob::Seed)) {
+        const std::uint64_t seed = knobU64(Knob::Seed);
         for (auto &wl : workloads)
             wl.params.seed = seed;
     }
@@ -688,15 +659,11 @@ filteredWorkloads(std::vector<NamedWorkload> workloads)
 std::vector<ConfigKind>
 filteredConfigs(std::vector<ConfigKind> configs)
 {
-    const char *spec = std::getenv("D2M_CONFIG_FILTER");
-    if (!spec)
-        return configs;
-    std::vector<ConfigKind> out;
-    for (ConfigKind kind : configs) {
-        if (matchesFilter(configKindName(kind), spec))
-            out.push_back(kind);
-    }
-    return out;
+    const std::string spec = knobStr(Knob::ConfigFilter);
+    std::erase_if(configs, [&](ConfigKind kind) {
+        return !matchesFilter(configKindName(kind), spec);
+    });
+    return configs;
 }
 
 } // namespace d2m

@@ -16,9 +16,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/knobs.hh"
 #include "harness/metrics.hh"
 #include "workload/suites.hh"
 
@@ -34,15 +36,15 @@ struct SweepOptions
      * equal to the measured instruction count (env D2M_WARMUP
      * overrides). */
     std::uint64_t warmupInstsPerCore = ~std::uint64_t(0);
-    bool verbose = true;             //!< Progress lines to stderr.
+    /** Progress lines to stderr; default: unless D2M_QUIET is
+     * non-zero. */
+    bool verbose = knobU64(Knob::Quiet) == 0;
     /**
      * Concurrent sweep jobs. 0 = auto: D2M_JOBS if set, else serial
      * when a single-file trace output is configured (D2M_TRACE_FILE,
      * whose file name stays byte-compatible that way), else the
      * hardware thread count. With jobs > 1 and tracing enabled, each
-     * run writes <trace>.job<N> instead. Interval CSVs are per-run
-     * for any multi-cell sweep ("iv.csv" becomes "iv.<slot>.csv"),
-     * serial or parallel, so no run overwrites another's rows.
+     * run writes <trace>.job<N> instead.
      */
     unsigned jobs = 0;
     RunOptions runOptions{};
@@ -99,6 +101,22 @@ int campaignExitCode(const SweepOutcome &outcome);
 
 /** Exit code for the whole process (processSweepOutcome()). */
 int campaignExitCode();
+
+/** One cell's system, streams and run options, before the run. */
+struct CellSetup
+{
+    std::unique_ptr<MemorySystem> system;
+    std::vector<std::unique_ptr<AccessStream>> streams;
+    RunOptions runOptions;  //!< opts.runOptions with the warmup set.
+};
+
+/**
+ * Build @p kind's system and @p wl's streams exactly as a sweep cell
+ * does: opts.baseParams with D2M_NODES applied, and the measured and
+ * warmup lengths from opts, D2M_INSTS_PER_CORE and D2M_WARMUP.
+ */
+CellSetup setUpCell(ConfigKind kind, const NamedWorkload &wl,
+                    const SweepOptions &opts);
 
 /** Run one benchmark on one configuration. */
 Metrics runOne(ConfigKind kind, const NamedWorkload &wl,

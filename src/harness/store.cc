@@ -11,6 +11,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "common/knobs.hh"
 #include "common/logging.hh"
 #include "harness/results_json.hh"
 #include "obs/json.hh"
@@ -137,7 +138,7 @@ RunKey::hex() const
 std::string
 binaryFingerprint()
 {
-    if (const char *fp = std::getenv("D2M_BUILD_FINGERPRINT"); fp && *fp)
+    if (std::string fp = knobStr(Knob::BuildFingerprint); !fp.empty())
         return fp;
     // Hash of the running executable: any rebuild that changes the
     // linked code changes every run key. Read once per process.
@@ -323,8 +324,8 @@ ResultStore::recordFromJson(const std::string &line, StoredRun *out)
 std::unique_ptr<ResultStore>
 ResultStore::fromEnv()
 {
-    const char *dir = std::getenv("D2M_STORE_DIR");
-    if (!dir || !*dir)
+    const std::string dir = knobStr(Knob::StoreDir);
+    if (dir.empty())
         return nullptr;
     return std::make_unique<ResultStore>(dir);
 }

@@ -4,8 +4,9 @@
  * propagation for the sweep runner.
  *
  * Every in-flight sweep cell owns a WatchdogClient whose progress
- * counter the execution driver bumps each access (the same liveness
- * signal the SimRateProfiler heartbeat rides on). A single watchdog
+ * counter the execution driver updates every kPollEvery loop
+ * iterations (the same counters the campaign progress stream samples
+ * for per-cell KIPS). A single watchdog
  * thread polls all attached clients; a client whose progress has not
  * advanced for D2M_RUN_TIMEOUT is marked cancelled with reason
  * Timeout, and every client is marked Drain once a SIGINT/SIGTERM

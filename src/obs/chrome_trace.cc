@@ -176,11 +176,6 @@ chromeTraceFromJsonl(std::istream &in, std::ostream &out,
                            json::number(u64Field(rec, "accesses")) + "}";
             }
             ev.body += "}";
-        } else if (kind == "heartbeat") {
-            sawSim = true;
-            ev.body = head("C", kPidSim, 0, ts, "sim_rate", "sim");
-            ev.body += ",\"args\":{\"kips\":" +
-                       json::number(u64Field(rec, "kips")) + "}}";
         } else {
             // access_issue duplicates the completion slice; unknown
             // kinds from newer traces are skipped, not an error.

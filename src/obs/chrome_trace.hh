@@ -7,7 +7,7 @@
  * width is the service latency, instants for LI hops, region
  * reclassifications, upgrades and invalidations), one track per NoC
  * endpoint, a fault track, and a sim track carrying the stats-reset
- * marker and progress counters.
+ * and run-end markers.
  *
  * Mapping (DESIGN.md Section 11):
  *   pid 1 "cores"  tid=node      access_complete -> "X" slices
@@ -15,8 +15,7 @@
  *                                li_hop/region_class/coh_* -> "i"
  *   pid 2 "noc"    tid=endpoint  noc_send/noc_recv -> "i"
  *   pid 3 "faults" tid=0         fault_* -> "i"
- *   pid 4 "sim"    tid=0         stats_reset/run_end -> "i" (global),
- *                                heartbeat -> "C" KIPS counter
+ *   pid 4 "sim"    tid=0         stats_reset/run_end -> "i" (global)
  * access_issue records are dropped (the completion slice carries the
  * same information); ts is the simulated tick, presented as
  * microseconds. Events are stably sorted by ts, so every track is

@@ -1,8 +1,8 @@
 #include "obs/debug.hh"
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/knobs.hh"
 #include "common/stats.hh"
 
 namespace d2m::debug
@@ -96,8 +96,7 @@ setFlags(std::uint32_t mask)
 void
 initFromEnv()
 {
-    const char *spec = std::getenv("D2M_DEBUG");
-    enabledMask = spec ? parseFlags(spec) : 0;
+    enabledMask = parseFlags(knobStr(Knob::Debug));
 }
 
 void

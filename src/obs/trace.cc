@@ -2,7 +2,7 @@
 
 #include <cstdlib>
 
-#include "common/env.hh"
+#include "common/knobs.hh"
 #include "common/logging.hh"
 #include "noc/message.hh"
 #include "obs/debug.hh"
@@ -16,16 +16,15 @@ constinit thread_local TraceSink *globalSink = nullptr;
 namespace
 {
 
-// Env config cached once at startup so worker threads can build
+// D2M_TRACE_FILE cached once at startup so worker threads can build
 // per-job sinks without re-reading (and re-validating) the env.
 std::string envTracePath;
-std::size_t envTraceBuf = 8192;
 
 constexpr const char *kKindNames[] = {
     "access_issue", "access_complete", "li_hop", "region_class",
     "coh_upgrade", "coh_downgrade", "noc_send", "noc_recv",
     "fault_inject", "fault_detect", "fault_recover", "stats_reset",
-    "heartbeat", "run_end",
+    "run_end",
 };
 static_assert(sizeof(kKindNames) / sizeof(kKindNames[0]) ==
               static_cast<std::size_t>(TraceKind::NUM_KINDS));
@@ -146,7 +145,6 @@ traceToJson(const TraceRecord &rec)
         break;
       case TraceKind::StatsReset:
         break;
-      case TraceKind::Heartbeat:
       case TraceKind::RunEnd:
         append(out, "insts", rec.a);
         append(out, "accesses", rec.addr);
@@ -243,13 +241,10 @@ setGlobalSink(TraceSink *sink)
 void
 initFromEnv()
 {
-    envTraceBuf =
-        static_cast<std::size_t>(envU64("D2M_TRACE_BUF", 8192));
-    const char *path = std::getenv("D2M_TRACE_FILE");
-    if (!path || !*path)
+    envTracePath = knobStr(Knob::TraceFile);
+    if (envTracePath.empty())
         return;
-    envTracePath = path;
-    globalOwner.sink = new TraceSink(envTracePath, envTraceBuf);
+    globalOwner.sink = new TraceSink(envTracePath);
     globalSink = globalOwner.sink;
 }
 
@@ -257,12 +252,6 @@ const std::string &
 traceFilePath()
 {
     return envTracePath;
-}
-
-std::size_t
-traceBufCapacity()
-{
-    return envTraceBuf;
 }
 
 void

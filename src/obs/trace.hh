@@ -47,7 +47,6 @@ enum class TraceKind : std::uint8_t
     FaultDetect,     //!< Fault detected (parity/ECC).
     FaultRecover,    //!< State rebuilt / line refetched.
     StatsReset,      //!< Warmup ended; Stats counters reset.
-    Heartbeat,       //!< Periodic progress record.
     RunEnd,          //!< Run finished (totals).
     NUM_KINDS
 };
@@ -73,15 +72,20 @@ struct TraceRecord
 /** Encode @p rec as one JSON object (no trailing newline). */
 std::string traceToJson(const TraceRecord &rec);
 
+/** Ring size of the D2M_TRACE_FILE sinks: records per file flush. */
+inline constexpr std::size_t kTraceBatchRecords = 8192;
+
 /** Bounded ring buffer of TraceRecords with JSONL flushing. */
 class TraceSink
 {
   public:
     /**
      * @param path  JSONL output file ("" = in-memory ring only).
-     * @param capacity  ring size in records (>= 1).
+     * @param capacity  ring size in records (>= 1); a file-backed
+     *                  sink writes this many records per flush.
      */
-    explicit TraceSink(std::string path, std::size_t capacity = 8192);
+    explicit TraceSink(std::string path,
+                       std::size_t capacity = kTraceBatchRecords);
     ~TraceSink();
 
     TraceSink(const TraceSink &) = delete;
@@ -146,15 +150,12 @@ traceEvent(TraceKind kind, std::uint32_t node, std::uint64_t addr = 0,
 /** Attach @p sink as the global sink (tests; returns the old one). */
 TraceSink *setGlobalSink(TraceSink *sink);
 
-/** Create the global sink from D2M_TRACE_FILE / D2M_TRACE_BUF. */
+/** Create the global sink from D2M_TRACE_FILE. */
 void initFromEnv();
 
 /** D2M_TRACE_FILE as parsed at startup ("" = tracing disabled). The
  * parallel runner derives per-job file names from this. */
 const std::string &traceFilePath();
-
-/** D2M_TRACE_BUF as parsed at startup (ring capacity in records). */
-std::size_t traceBufCapacity();
 
 /** Flush this thread's sink if any (called at run end). */
 void flushGlobal();

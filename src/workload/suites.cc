@@ -2,7 +2,7 @@
 
 #include <cstdlib>
 
-#include "common/env.hh"
+#include "common/knobs.hh"
 
 namespace d2m
 {
@@ -324,7 +324,7 @@ suiteNames()
 std::uint64_t
 instsPerCoreOverride()
 {
-    return envU64("D2M_INSTS_PER_CORE", 0);
+    return knobU64(Knob::InstsPerCore);
 }
 
 std::vector<std::unique_ptr<AccessStream>>

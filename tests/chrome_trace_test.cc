@@ -167,22 +167,6 @@ TEST(ChromeTrace, DropsAccessIssueAndSkipsUnknownKinds)
     EXPECT_EQ(non_meta, 1u);
 }
 
-TEST(ChromeTrace, HeartbeatBecomesCounterTrack)
-{
-    std::string jsonl = obs::traceToJson({1000, obs::TraceKind::Heartbeat,
-                                          0, 800, 10000, 250}) + "\n";
-    const json::Value doc = parseDoc(convert(jsonl));
-    bool found = false;
-    for (const json::Value &e : doc["traceEvents"].array) {
-        if (e["ph"].asString() != "C")
-            continue;
-        found = true;
-        EXPECT_EQ(e["name"].asString(), "sim_rate");
-        EXPECT_EQ(e["args"]["kips"].asNumber(), 250.0);
-    }
-    EXPECT_TRUE(found);
-}
-
 TEST(ChromeTrace, MalformedLineReportsLineNumber)
 {
     std::istringstream in("{\"tick\":1,\"kind\":\"run_end\"}\nnot json\n");

@@ -62,11 +62,15 @@ TEST(Report, FmtAndGeomean)
     EXPECT_NEAR(geomean({1.0, 1.0, 1.0}), 1.0, 1e-9);
     EXPECT_EQ(geomean({}), 0.0);
     EXPECT_NEAR(geomean({0.0, 4.0}), 4.0, 1e-9);  // non-positive skipped
+    EXPECT_EQ(fmtGeomeanRatio({0.5, 0.5}), "0.50x (-50%)");
+    EXPECT_EQ(fmtGeomeanPct({1.1}), "+10.0%");
+    EXPECT_EQ(fmtGeomeanRatio({}), "n/a");  // not "0.00x (-100%)"
+    EXPECT_EQ(fmtGeomeanPct({0.0}), "n/a");
 }
 
 TEST(Report, FindRowAndSuiteMeans)
 {
-    std::vector<Metrics> rows(3);
+    std::vector<Metrics> rows(4);
     rows[0].benchmark = "a";
     rows[0].config = "X";
     rows[0].suite = "s";
@@ -79,8 +83,12 @@ TEST(Report, FindRowAndSuiteMeans)
     rows[2].config = "Y";
     rows[2].suite = "s";
     rows[2].ipc = 9.0;
+    rows[3].benchmark = "b";
+    rows[3].config = "Y";
+    rows[3].status = "failed";  // a failed cell is not a result
     EXPECT_EQ(findRow(rows, "a", "Y")->ipc, 9.0);
     EXPECT_EQ(findRow(rows, "c", "X"), nullptr);
+    EXPECT_EQ(findRow(rows, "b", "Y"), nullptr);
     EXPECT_DOUBLE_EQ(
         suiteMean(rows, "s", "X", [](const Metrics &m) { return m.ipc; }),
         2.0);

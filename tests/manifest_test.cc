@@ -52,24 +52,6 @@ TEST(Manifest, ParseRoundTrip)
     EXPECT_EQ(m.entries[4].line, 11);
 }
 
-TEST(Manifest, KeyTableIsWellFormed)
-{
-    const auto &keys = manifestKeys();
-    ASSERT_FALSE(keys.empty());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        EXPECT_EQ(std::string(keys[i].env).rfind("D2M_", 0), 0u)
-            << keys[i].section << "." << keys[i].key;
-        for (std::size_t j = i + 1; j < keys.size(); ++j) {
-            EXPECT_FALSE(std::string(keys[i].section) == keys[j].section &&
-                         std::string(keys[i].key) == keys[j].key)
-                << "duplicate mapping " << keys[i].section << "."
-                << keys[i].key;
-            EXPECT_STRNE(keys[i].env, keys[j].env)
-                << "two keys map to " << keys[i].env;
-        }
-    }
-}
-
 TEST(ManifestDeathTest, UnknownObsKeyIsFatal)
 {
     EXPECT_EXIT(parseManifestText("[obs]\nselfprof = 1\n", "t"),

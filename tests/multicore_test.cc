@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the multicore driver: warmup reset semantics, golden-value
- * checking, late-hit accounting, and the progress/cancel poll.
+ * Tests for the multicore driver: warmup reset semantics, phase
+ * timing, golden-value checking, late-hit accounting, and the
+ * progress/cancel poll.
  */
 
 #include <gtest/gtest.h>
@@ -47,6 +48,23 @@ TEST(Multicore, RunsToCompletion)
     EXPECT_EQ(r.instructions, 4u * 10'000u);
     EXPECT_GT(r.cycles, 0u);
     EXPECT_EQ(r.valueErrors, 0u);
+}
+
+TEST(Multicore, TimesWarmupAndMeasuredPhases)
+{
+    auto sys = makeSystem(ConfigKind::Base2L);
+    auto streams = streamsFor(tinyWorkload(), 4);
+    RunOptions opts;
+    opts.warmupInstsPerCore = 5'000;
+    const RunResult r = runMulticore(*sys, streams, opts);
+    EXPECT_GT(r.warmupWallSec, 0.0);
+    EXPECT_GT(r.measureWallSec, 0.0);
+    EXPECT_GT(r.simKips, 0.0);
+
+    auto cold = makeSystem(ConfigKind::Base2L);
+    auto cold_streams = streamsFor(tinyWorkload(), 4);
+    EXPECT_EQ(runMulticore(*cold, cold_streams).warmupWallSec, 0.0)
+        << "no warmup phase, no warmup time";
 }
 
 TEST(Multicore, WarmupResetsCountersButKeepsState)

@@ -2,8 +2,7 @@
  * @file
  * Tests for the observability layer: debug flags (D2M_DEBUG parsing
  * and DTRACE emission), the TraceSink ring buffer and its JSONL
- * output, the JSON stats visitor, the sim-rate profiler and the
- * rate-limited warning helpers. The final test runs a small multicore
+ * output, the JSON stats visitor and the rate-limited warning helpers. The final test runs a small multicore
  * simulation with tracing attached and reconciles the trace's message
  * records against the interconnect's Stats counters.
  */
@@ -23,7 +22,6 @@
 #include "noc/message.hh"
 #include "obs/debug.hh"
 #include "obs/json.hh"
-#include "obs/profiler.hh"
 #include "obs/trace.hh"
 #include "workload/suites.hh"
 
@@ -261,37 +259,6 @@ TEST(StatsLifetime, GroupDestroyedBeforeStatIsSafe)
     root.reset();  // group dies first; the stat must survive
     ++c;
     EXPECT_EQ(c.value(), 1u);
-}
-
-// ------------------------------------------------------------- profiler
-
-TEST(Profiler, HeartbeatFiresOnBoundaries)
-{
-    obs::SimRateProfiler p(/*heartbeat_insts=*/1000);
-    testing::internal::CaptureStderr();
-    EXPECT_FALSE(p.maybeHeartbeat(500, 10));
-    EXPECT_TRUE(p.maybeHeartbeat(1000, 20));
-    EXPECT_FALSE(p.maybeHeartbeat(1500, 30));
-    EXPECT_TRUE(p.maybeHeartbeat(5000, 40));  // catches up past 2000+
-    testing::internal::GetCapturedStderr();
-    EXPECT_EQ(p.heartbeatsFired(), 2u);
-}
-
-TEST(Profiler, DisabledHeartbeatNeverFires)
-{
-    obs::SimRateProfiler p(/*heartbeat_insts=*/0);
-    EXPECT_FALSE(p.maybeHeartbeat(1'000'000, 0));
-    EXPECT_EQ(p.heartbeatsFired(), 0u);
-}
-
-TEST(Profiler, FinishComputesNonNegativeRate)
-{
-    obs::SimRateProfiler p(0);
-    p.phaseReset();
-    p.finish(1'000'000);
-    EXPECT_GE(p.kips(), 0.0);
-    EXPECT_GE(p.warmupWallSec(), 0.0);
-    EXPECT_GE(p.measureWallSec(), 0.0);
 }
 
 // ------------------------------------------------------------- warnings

@@ -14,7 +14,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -173,55 +172,6 @@ TEST(ParallelSweep, RepeatedParallelSweepsAreDeterministic)
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(normalizedRow(a[i]), normalizedRow(b[i])) << i;
-}
-
-TEST(ParallelSweep, MultiCellSweepWritesPerRunIntervalCsv)
-{
-    // Any sweep with more than one cell splits D2M_INTERVAL_CSV into
-    // per-run iv.<slot>.csv files so no run overwrites another's rows.
-    // The slot is the process-wide document slot (it keeps counting
-    // across sweeps in one process), so the test discovers the files
-    // by pattern instead of assuming 0-based numbering.
-    const std::string base = testing::TempDir() + "psweep_iv.csv";
-    ::setenv("D2M_INTERVAL_CSV", base.c_str(), 1);
-    ::setenv("D2M_INTERVAL_INSTS", "500", 1);
-
-    const auto workloads = smallWorkloads();
-    const std::vector<NamedWorkload> one = {workloads[0]};
-    const std::vector<ConfigKind> two = {ConfigKind::Base2L,
-                                         ConfigKind::D2mFs};
-    runSweep(two, one, sweepOptions(2));
-
-    std::vector<std::string> slotFiles;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(testing::TempDir())) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind("psweep_iv.", 0) == 0 && name != "psweep_iv.csv")
-            slotFiles.push_back(entry.path().string());
-    }
-    EXPECT_EQ(slotFiles.size(), 2u) << "one interval CSV per cell";
-    {
-        std::ifstream fBase(base);
-        EXPECT_FALSE(fBase.good())
-            << "multi-cell sweep must not write the bare path";
-    }
-    for (const std::string &p : slotFiles) {
-        std::ifstream f(p);
-        std::string header;
-        EXPECT_TRUE(std::getline(f, header)) << p;
-        EXPECT_EQ(header.rfind("idx,warmup,", 0), 0u) << header;
-    }
-
-    // A single-cell sweep keeps the un-suffixed path byte-compatible.
-    runSweep({ConfigKind::Base2L}, one, sweepOptions(1));
-    std::ifstream fBase2(base);
-    EXPECT_TRUE(fBase2.good()) << base;
-
-    ::unsetenv("D2M_INTERVAL_CSV");
-    ::unsetenv("D2M_INTERVAL_INSTS");
-    std::remove(base.c_str());
-    for (const auto &p : slotFiles)
-        std::remove(p.c_str());
 }
 
 } // namespace

@@ -43,7 +43,7 @@ checkFlushedTrace(const std::string &path, std::size_t expected)
         json::Value v;
         std::string err;
         ASSERT_TRUE(json::parse(line, v, err)) << err << ": " << line;
-        EXPECT_EQ(v["kind"].asString(), "heartbeat");
+        EXPECT_EQ(v["kind"].asString(), "run_end");
     }
 }
 
@@ -59,7 +59,7 @@ TEST(SignalFlushDeathTest, SigtermFlushesTraceTail)
             obs::TraceSink sink(path, 1024);
             obs::setGlobalSink(&sink);
             for (int i = 0; i < 5; ++i)
-                obs::traceEvent(obs::TraceKind::Heartbeat, 0, i);
+                obs::traceEvent(obs::TraceKind::RunEnd, 0, i);
             // Nothing flushed yet: the ring holds all five records.
             if (sink.flushed() != 0)
                 std::abort();
@@ -80,7 +80,7 @@ TEST(SignalFlushDeathTest, SigintFlushesTraceTail)
             obs::TraceSink sink(path, 1024);
             obs::setGlobalSink(&sink);
             for (int i = 0; i < 3; ++i)
-                obs::traceEvent(obs::TraceKind::Heartbeat, 1, i);
+                obs::traceEvent(obs::TraceKind::RunEnd, 1, i);
             std::raise(SIGINT);
         },
         testing::KilledBySignal(SIGINT), "");

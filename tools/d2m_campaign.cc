@@ -8,40 +8,24 @@
  * A manifest (harness/manifest.hh) declares the whole campaign in one
  * file; applying it seeds the environment, and variables already set
  * in the environment win over manifest values — so a manifest-driven
- * campaign is exactly the equivalent env-var-driven one.
- *
- * Environment:
- *   D2M_STORE_DIR       durable result store; enables resume
- *   D2M_RESUME=0        re-execute everything despite the store
- *   D2M_RUN_TIMEOUT     per-run stall timeout, seconds (0 = off)
- *   D2M_RUN_RETRIES     extra attempts per failed/stalled cell
- *   D2M_STATS_JSON      combined stats document (byte-identical
- *                       whether or not the campaign was interrupted)
- *   D2M_PROGRESS_JSON   live campaign status records, one JSON per
- *                       line (plus a TTY status line on stderr);
- *                       D2M_PROGRESS_SEC sets the period (default 2)
- *   D2M_CONFIG_FILTER / D2M_SUITE_FILTER / D2M_BENCH_FILTER /
- *   D2M_INSTS_PER_CORE / D2M_SEED / D2M_JOBS / D2M_QUIET as usual.
+ * campaign is exactly the equivalent env-var-driven one. `--help`
+ * prints every knob from the knob table (common/knobs.hh), including
+ * the D2M_CAMPAIGN_* hooks that tests/ and CI use to exercise crash
+ * paths.
  *
  * Exit code: 0 all cells ok, 2 some cells failed or timed out,
  * 3 interrupted (drained) before the grid completed.
- *
- * Test knobs (used by tests/ and CI to exercise crash paths):
- *   D2M_CAMPAIGN_KILL_AFTER=N    SIGKILL self when the N-th cell starts
- *   D2M_CAMPAIGN_SIGINT_AFTER=N  raise SIGINT when the N-th cell starts
- *   D2M_CAMPAIGN_FAIL_BENCH=x    fatal() in every run of benchmark x
  */
 
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include <sys/types.h>
 #include <unistd.h>
 
-#include "common/env.hh"
+#include "common/knobs.hh"
 #include "common/logging.hh"
 #include "harness/manifest.hh"
 #include "harness/runner.hh"
@@ -59,15 +43,18 @@ usage(std::FILE *out)
                  "Runs the full (configs x workloads) grid as one "
                  "crash-safe, resumable campaign.\nA manifest seeds "
                  "the D2M_* environment (already-set variables win).\n\n"
-                 "Manifest keys:\n");
+                 "Knobs ([section] key -> variable):\n");
     const char *section = "";
-    for (const auto &k : d2m::manifestKeys()) {
-        if (std::strcmp(section, k.section) != 0) {
-            section = k.section;
+    for (const d2m::KnobRow &k : d2m::knobTable()) {
+        const char *s = k.section ? k.section : "environment only";
+        if (std::strcmp(section, s) != 0) {
+            section = s;
             std::fprintf(out, "  [%s]\n", section);
         }
-        std::fprintf(out, "    %-16s -> %s%s\n", k.key, k.env,
-                     k.numeric ? " (integer)" : "");
+        std::fprintf(out, "    %-17s -> %s%s\n        %s\n",
+                     k.key ? k.key : "", k.env,
+                     k.kind == d2m::KnobKind::U64 ? " (integer)" : "",
+                     k.help);
     }
 }
 
@@ -99,16 +86,15 @@ main(int argc, char **argv)
     }
     if (!manifestPath.empty()) {
         Manifest m = parseManifestFile(manifestPath);
-        applyManifest(m, std::getenv("D2M_QUIET") == nullptr);
+        applyManifest(m, knobU64(Knob::Quiet) == 0);
     }
 
     SweepOptions opts;
-    opts.verbose = std::getenv("D2M_QUIET") == nullptr;
 
-    const std::uint64_t killAfter = envU64("D2M_CAMPAIGN_KILL_AFTER", 0);
-    const std::uint64_t intAfter = envU64("D2M_CAMPAIGN_SIGINT_AFTER", 0);
-    const char *failBench = std::getenv("D2M_CAMPAIGN_FAIL_BENCH");
-    if (killAfter || intAfter || failBench) {
+    const std::uint64_t killAfter = knobU64(Knob::CampaignKillAfter);
+    const std::uint64_t intAfter = knobU64(Knob::CampaignSigintAfter);
+    const std::string failBench = knobStr(Knob::CampaignFailBench);
+    if (killAfter || intAfter || !failBench.empty()) {
         static std::atomic<std::uint64_t> started{0};
         opts.preRunHook = [=](const NamedWorkload &wl, unsigned attempt) {
             const std::uint64_t n =
@@ -117,9 +103,9 @@ main(int argc, char **argv)
                 ::kill(::getpid(), SIGKILL);
             if (intAfter && attempt == 0 && n == intAfter)
                 std::raise(SIGINT);
-            if (failBench && wl.name == failBench)
+            if (!failBench.empty() && wl.name == failBench)
                 fatal("injected campaign failure for benchmark '%s'",
-                      failBench);
+                      failBench.c_str());
         };
     }
 
