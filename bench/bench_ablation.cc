@@ -23,9 +23,9 @@ runVariant(const NamedWorkload &wl, const SystemParams &params)
 {
     auto sys = std::make_unique<D2mSystem>("d2m", params);
     auto streams = makeStreams(wl, params.numNodes, params.lineSize,
-                               2 * benchInsts());
+                               benchInsts() + benchWarmup());
     RunOptions ropts;
-    ropts.warmupInstsPerCore = benchInsts();
+    ropts.warmupInstsPerCore = benchWarmup();
     const RunResult run = runMulticore(*sys, streams, ropts);
     return collectMetrics(ConfigKind::D2mNsR, wl.suite, wl.name, *sys,
                           run);

@@ -4,9 +4,10 @@
  *
  * Each bench_* binary regenerates one table or figure of the paper
  * (see DESIGN.md Section 5). Run length is controlled by
- * D2M_INSTS_PER_CORE (measured instructions per core; an equal warmup
- * precedes measurement) — the default keeps every binary in the
- * minutes range; raise it for tighter numbers.
+ * D2M_INSTS_PER_CORE (measured instructions per core) and D2M_WARMUP
+ * (warmup before measurement; equal to the measured count when unset)
+ * — the default keeps every binary in the minutes range; raise it for
+ * tighter numbers.
  */
 
 #ifndef D2M_BENCH_BENCH_COMMON_HH
@@ -34,6 +35,13 @@ benchInsts()
     return 100'000;
 }
 
+/** Warmup instructions per core: D2M_WARMUP, else benchInsts(). */
+inline std::uint64_t
+benchWarmup()
+{
+    return knobSet(Knob::Warmup) ? knobU64(Knob::Warmup) : benchInsts();
+}
+
 /** Progress lines to stderr unless D2M_QUIET is non-zero. */
 inline bool
 benchVerbose()
@@ -47,7 +55,7 @@ benchOptions()
 {
     SweepOptions opts;
     opts.instsPerCore = benchInsts();
-    opts.warmupInstsPerCore = ~std::uint64_t(0);  // default: = measured
+    opts.warmupInstsPerCore = benchWarmup();
     return opts;
 }
 
@@ -59,9 +67,10 @@ banner(const char *what, const char *paper_ref)
                 "=========================\n");
     std::printf("%s\n", what);
     std::printf("Reproduces: %s\n", paper_ref);
-    std::printf("Measured instructions/core: %llu (+ equal warmup); "
-                "override with D2M_INSTS_PER_CORE\n",
-                static_cast<unsigned long long>(benchInsts()));
+    std::printf("Measured instructions/core: %llu (+ %llu warmup); "
+                "override with D2M_INSTS_PER_CORE / D2M_WARMUP\n",
+                static_cast<unsigned long long>(benchInsts()),
+                static_cast<unsigned long long>(benchWarmup()));
     std::printf("==================================================="
                 "=========================\n\n");
 }

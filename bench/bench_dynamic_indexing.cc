@@ -45,9 +45,9 @@ main()
             auto sys = std::make_unique<D2mSystem>("d2m", ps);
             auto streams =
                 makeStreams(wl, ps.numNodes, ps.lineSize,
-                            2 * benchInsts());
+                            benchInsts() + benchWarmup());
             RunOptions ropts;
-            ropts.warmupInstsPerCore = benchInsts();
+            ropts.warmupInstsPerCore = benchWarmup();
             const RunResult run = runMulticore(*sys, streams, ropts);
             const Metrics m = collectMetrics(ConfigKind::D2mNs, wl.suite,
                                              wl.name, *sys, run);

@@ -37,7 +37,8 @@ main()
             table.addSeparator();
         last_suite = b2->suite;
         std::vector<std::string> cells{b2->suite, name};
-        for (const auto kind : configs) {
+        // Every header column, so a filtered-out config prints "-".
+        for (const auto kind : allConfigs()) {
             const Metrics *m = findRow(rows, name, configKindName(kind));
             cells.push_back(m ? fmt(m->msgsPerKiloInst) : "-");
         }

@@ -30,42 +30,32 @@ main()
             present |= m.suite == suite;
         if (!present)
             continue;
-        auto mean = [&](const char *cfg, auto get) {
-            return suiteMean(rows, suite, cfg, get);
+        // Mean over the suite's ok rows of @p cfg; "-" when there are
+        // none (the config is filtered out or every cell failed).
+        auto mean = [&](const char *cfg, double Metrics::*field,
+                        int decimals) {
+            double sum = 0;
+            unsigned n = 0;
+            for (const auto &m : rows) {
+                if (m.suite == suite && m.config == cfg &&
+                    m.status == "ok") {
+                    sum += m.*field;
+                    ++n;
+                }
+            }
+            return n ? fmt(sum / n, decimals) : std::string("-");
         };
-        table.addRow({
-            suite,
-            fmt(mean("Base-2L", [](const Metrics &m) {
-                    return m.l1iMissPct;
-                })),
-            fmt(mean("Base-2L", [](const Metrics &m) {
-                    return m.l1dMissPct;
-                })),
-            fmt(mean("Base-2L", [](const Metrics &m) {
-                    return m.lateHitIPct;
-                })),
-            fmt(mean("Base-2L", [](const Metrics &m) {
-                    return m.lateHitDPct;
-                })),
-            fmt(mean("Base-3L", [](const Metrics &m) {
-                    return m.nearHitRatioI;
-                }), 0),
-            fmt(mean("Base-3L", [](const Metrics &m) {
-                    return m.nearHitRatioD;
-                }), 0),
-            fmt(mean("D2M-NS", [](const Metrics &m) {
-                    return m.nearHitRatioI;
-                }), 0),
-            fmt(mean("D2M-NS", [](const Metrics &m) {
-                    return m.nearHitRatioD;
-                }), 0),
-            fmt(mean("D2M-NS-R", [](const Metrics &m) {
-                    return m.nearHitRatioI;
-                }), 0),
-            fmt(mean("D2M-NS-R", [](const Metrics &m) {
-                    return m.nearHitRatioD;
-                }), 0),
-        });
+        table.addRow({suite,
+                      mean("Base-2L", &Metrics::l1iMissPct, 1),
+                      mean("Base-2L", &Metrics::l1dMissPct, 1),
+                      mean("Base-2L", &Metrics::lateHitIPct, 1),
+                      mean("Base-2L", &Metrics::lateHitDPct, 1),
+                      mean("Base-3L", &Metrics::nearHitRatioI, 0),
+                      mean("Base-3L", &Metrics::nearHitRatioD, 0),
+                      mean("D2M-NS", &Metrics::nearHitRatioI, 0),
+                      mean("D2M-NS", &Metrics::nearHitRatioD, 0),
+                      mean("D2M-NS-R", &Metrics::nearHitRatioI, 0),
+                      mean("D2M-NS-R", &Metrics::nearHitRatioD, 0)});
     }
     std::printf("%s\n", table.render().c_str());
     std::printf(

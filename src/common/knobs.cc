@@ -20,80 +20,63 @@ knobTable()
     constexpr KnobKind Str = KnobKind::Str;
     static const std::vector<KnobRow> rows = [] {
         std::vector<KnobRow> r = {
-            {K::StoreDir, "D2M_STORE_DIR", "campaign", "store_dir", Str, 0,
+            {K::StoreDir, "D2M_STORE_DIR", Str, 0,
              "durable result store directory; sweeps record every "
              "finished cell there and resume from it"},
-            {K::StatsJson, "D2M_STATS_JSON", "campaign", "stats_json", Str,
-             0, "write every run's metrics, stats tree and intervals as "
+            {K::StatsJson, "D2M_STATS_JSON", Str, 0,
+             "write every run's metrics, stats tree and intervals as "
              "one JSON document"},
-            {K::ProgressJson, "D2M_PROGRESS_JSON", "campaign",
-             "progress_json", Str, 0,
-             "append campaign status records (JSON per line): start, "
-             "each cell completion, periodically"},
-            {K::ProgressSec, "D2M_PROGRESS_SEC", "campaign", "progress_sec",
-             U64, 2, "seconds between running-status records"},
-            {K::Jobs, "D2M_JOBS", "campaign", "jobs", U64, 0,
+            {K::Jobs, "D2M_JOBS", U64, 0,
              "concurrent sweep cells (0 = hardware threads, or serial "
              "while D2M_TRACE_FILE is set)"},
-            {K::RunTimeout, "D2M_RUN_TIMEOUT", "campaign", "timeout_sec",
-             U64, 0,
+            {K::RunTimeout, "D2M_RUN_TIMEOUT", U64, 0,
              "cancel a cell after N seconds without progress and record "
              "it as timeout (0 = off)"},
-            {K::RunRetries, "D2M_RUN_RETRIES", "campaign", "retries", U64,
-             0, "re-run a failed or timed-out cell up to N more times "
+            {K::RunRetries, "D2M_RUN_RETRIES", U64, 0,
+             "re-run a failed or timed-out cell up to N more times "
              "with a jittered seed"},
-            {K::Resume, "D2M_RESUME", "campaign", "resume", U64, 1,
-             "0 = ignore stored results (cells re-run; the store is "
-             "still written)"},
-            {K::BuildFingerprint, "D2M_BUILD_FINGERPRINT", "campaign",
-             "build_fingerprint", Str, 0,
+            {K::BuildFingerprint, "D2M_BUILD_FINGERPRINT", Str, 0,
              "override the binary fingerprint in run keys (default: hash "
              "of the executable)"},
-            {K::Quiet, "D2M_QUIET", "campaign", "quiet", U64, 0,
+            {K::Quiet, "D2M_QUIET", U64, 0,
              "non-zero suppresses progress lines on stderr"},
-            {K::ConfigFilter, "D2M_CONFIG_FILTER", "grid", "configs", Str,
-             0, "configurations to run (comma list; substring, or exact "
+            {K::ConfigFilter, "D2M_CONFIG_FILTER", Str, 0,
+             "configurations to run (comma list; substring, or exact "
              "with a leading '=')"},
-            {K::SuiteFilter, "D2M_SUITE_FILTER", "grid", "suites", Str, 0,
+            {K::SuiteFilter, "D2M_SUITE_FILTER", Str, 0,
              "suites to run (same pattern syntax)"},
-            {K::BenchFilter, "D2M_BENCH_FILTER", "grid", "benchmarks", Str,
-             0, "benchmarks to run (same pattern syntax)"},
-            {K::InstsPerCore, "D2M_INSTS_PER_CORE", "grid",
-             "insts_per_core", U64, 0,
+            {K::BenchFilter, "D2M_BENCH_FILTER", Str, 0,
+             "benchmarks to run (same pattern syntax)"},
+            {K::InstsPerCore, "D2M_INSTS_PER_CORE", U64, 0,
              "measured instructions per core (0 = the caller's default; "
              "benches use 100000)"},
-            {K::Nodes, "D2M_NODES", "grid", "nodes", U64, 0,
+            {K::Nodes, "D2M_NODES", U64, 0,
              "simulated core count (0 = the configuration's 4); D2M "
              "configurations support at most 8 nodes"},
-            {K::Warmup, "D2M_WARMUP", "grid", "warmup", U64, 0,
+            {K::Warmup, "D2M_WARMUP", U64, 0,
              "warmup instructions per core (unset = equal to the "
              "measured count)"},
-            {K::Seed, "D2M_SEED", "grid", "seed", U64, 0,
+            {K::Seed, "D2M_SEED", U64, 0,
              "workload seed for every cell (unset = each workload's "
              "own)"},
-            {K::Debug, "D2M_DEBUG", "obs", "debug", Str, 0,
+            {K::Debug, "D2M_DEBUG", Str, 0,
              "debug trace flags to stderr: MD, Coherence, NoC, "
              "Replacement, Fault, NSLLC, Index, Exec, All"},
-            {K::TraceFile, "D2M_TRACE_FILE", "obs", "trace_file", Str, 0,
+            {K::TraceFile, "D2M_TRACE_FILE", Str, 0,
              "typed event trace as JSONL (parallel jobs write "
              "<file>.job<N>)"},
-            {K::IntervalInsts, "D2M_INTERVAL_INSTS", "obs",
-             "interval_insts", U64, 0,
+            {K::IntervalInsts, "D2M_INTERVAL_INSTS", U64, 0,
              "snapshot all stats every N committed instructions into "
              "the D2M_STATS_JSON intervals (0 = off)"},
-            {K::BenchJsonDir, "D2M_BENCH_JSON_DIR", "obs",
-             "bench_json_dir", Str, 0,
+            {K::BenchJsonDir, "D2M_BENCH_JSON_DIR", Str, 0,
              "bench binaries also write their rows as "
              "<dir>/BENCH_<name>.json"},
-            {K::CampaignKillAfter, "D2M_CAMPAIGN_KILL_AFTER", nullptr,
-             nullptr, U64, 0,
+            {K::CampaignKillAfter, "D2M_CAMPAIGN_KILL_AFTER", U64, 0,
              "test hook: d2m_campaign SIGKILLs itself when cell N "
              "starts"},
-            {K::CampaignSigintAfter, "D2M_CAMPAIGN_SIGINT_AFTER", nullptr,
-             nullptr, U64, 0,
+            {K::CampaignSigintAfter, "D2M_CAMPAIGN_SIGINT_AFTER", U64, 0,
              "test hook: d2m_campaign raises SIGINT when cell N starts"},
-            {K::CampaignFailBench, "D2M_CAMPAIGN_FAIL_BENCH", nullptr,
-             nullptr, Str, 0,
+            {K::CampaignFailBench, "D2M_CAMPAIGN_FAIL_BENCH", Str, 0,
              "test hook: d2m_campaign fails every run of this "
              "benchmark"},
         };
@@ -128,6 +111,33 @@ knobText(Knob k)
     return std::getenv(knobRow(k).env);
 }
 
+/**
+ * Strict unsigned parse of @p text into @p out. @return nullptr on
+ * success, else why @p text is not an unsigned integer (empty,
+ * negative, out of range, trailing garbage).
+ */
+const char *
+parseKnobU64(const char *text, std::uint64_t &out)
+{
+    if (*text == '\0')
+        return "empty value";
+    // strtoull accepts a leading '-' and wraps the value; reject it.
+    const char *p = text;
+    while (std::isspace(static_cast<unsigned char>(*p)))
+        ++p;
+    if (*p == '-')
+        return "negative values not allowed";
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (errno == ERANGE)
+        return "value out of range";
+    if (end == text || *end != '\0')
+        return "not an unsigned integer";
+    out = static_cast<std::uint64_t>(v);
+    return nullptr;
+}
+
 } // namespace
 
 bool
@@ -158,28 +168,6 @@ knobStr(Knob k)
              knobRow(k).env);
     const char *text = knobText(k);
     return text ? text : "";
-}
-
-const char *
-parseKnobU64(const char *text, std::uint64_t &out)
-{
-    if (*text == '\0')
-        return "empty value";
-    // strtoull accepts a leading '-' and wraps the value; reject it.
-    const char *p = text;
-    while (std::isspace(static_cast<unsigned char>(*p)))
-        ++p;
-    if (*p == '-')
-        return "negative values not allowed";
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (errno == ERANGE)
-        return "value out of range";
-    if (end == text || *end != '\0')
-        return "not an unsigned integer";
-    out = static_cast<std::uint64_t>(v);
-    return nullptr;
 }
 
 void

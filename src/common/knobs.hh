@@ -3,11 +3,10 @@
  * The run-time knob table: every D2M_* environment variable, declared
  * once.
  *
- * Each row names the variable, its campaign-manifest key (if any), its
- * kind, its default and a one-line help text. Every reader goes
- * through knobU64() / knobStr() / knobSet(), the manifest parser and
- * `d2m_campaign --help` iterate the same rows, and knobs_test checks
- * README.md against them.
+ * Each row names the variable, its kind, its default and a one-line
+ * help text. Every reader goes through knobU64() / knobStr() /
+ * knobSet(), `d2m_campaign --help` prints the same rows, and
+ * knobs_test checks README.md against them.
  *
  * Reading is strict: an unsigned knob set to "10k", "-5", "" or an
  * out-of-range number is a fatal() configuration error, and so is any
@@ -30,12 +29,9 @@ enum class Knob : std::uint8_t
 {
     StoreDir,
     StatsJson,
-    ProgressJson,
-    ProgressSec,
     Jobs,
     RunTimeout,
     RunRetries,
-    Resume,
     BuildFingerprint,
     Quiet,
     ConfigFilter,
@@ -66,11 +62,9 @@ enum class KnobKind : std::uint8_t
 struct KnobRow
 {
     Knob id;
-    const char *env;      //!< Environment variable name.
-    const char *section;  //!< Manifest [section]; nullptr = env only.
-    const char *key;      //!< Manifest key; nullptr = env only.
+    const char *env;    //!< Environment variable name.
     KnobKind kind;
-    std::uint64_t def;    //!< U64 value when unset (Str: unused).
+    std::uint64_t def;  //!< U64 value when unset (Str: unused).
     const char *help;
 };
 
@@ -90,13 +84,6 @@ std::uint64_t knobU64(Knob k);
 
 /** String knob value ("" when unset). */
 std::string knobStr(Knob k);
-
-/**
- * Strict unsigned parse of @p text into @p out. @return nullptr on
- * success, else why @p text is not an unsigned integer (empty,
- * negative, out of range, trailing garbage).
- */
-const char *parseKnobU64(const char *text, std::uint64_t &out);
 
 /** fatal() naming the first D2M_* environment variable that is not a
  * row of knobTable(). Runs once on the first knob read. */

@@ -50,10 +50,6 @@ runMulticore(MemorySystem &system,
     auto publishProgress = [&] {
         opts.progress->store(result.accesses + total_committed + 1,
                              std::memory_order_relaxed);
-        if (opts.instsProgress) {
-            opts.instsProgress->store(total_committed,
-                                      std::memory_order_relaxed);
-        }
     };
 
     std::uint64_t iter = 0;

@@ -90,14 +90,6 @@ struct RunOptions
      */
     std::atomic<std::uint64_t> *progress = nullptr;
     /**
-     * Committed-instruction counter for the campaign progress stream
-     * (null = unmonitored). Updated alongside @ref progress from the
-     * same unlikely branch; the progress aggregator
-     * (harness/progress.hh) reads it to compute per-cell KIPS and the
-     * campaign ETA.
-     */
-    std::atomic<std::uint64_t> *instsProgress = nullptr;
-    /**
      * Cooperative cancellation flag (null = not cancellable). When it
      * becomes nonzero (watchdog timeout or shutdown drain) the run
      * loop raises a fatal() — which a sweep job's abort capture turns

@@ -262,6 +262,14 @@ buildRunRow(const Metrics &m, MemorySystem &system,
     return row;
 }
 
+bool
+metricsFromRow(const std::string &row, Metrics *out)
+{
+    json::Value v;
+    std::string err;
+    return json::parse(row, v, err) && metricsFromJson(v["metrics"], out);
+}
+
 std::string
 buildFailureRow(const Metrics &m)
 {

@@ -33,8 +33,7 @@ namespace d2m
 std::string metricsToJson(const Metrics &m);
 
 /**
- * Rebuild a Metrics row from a parsed metricsToJson() object (the
- * result store uses this to resurrect rows on campaign resume).
+ * Rebuild a Metrics row from a parsed metricsToJson() object.
  * Unknown fields are ignored; missing fields keep their defaults.
  * @return false when @p v is not an object.
  */
@@ -76,6 +75,11 @@ void exportRunJson(const Metrics &m, MemorySystem &system,
  */
 std::string buildRunRow(const Metrics &m, MemorySystem &system,
                         const obs::StatSnapshotter *intervals = nullptr);
+
+/** Rebuild a Metrics row from the "metrics" object of a row built by
+ * buildRunRow() or buildFailureRow() (campaign resume).
+ * @return false when @p row does not parse or has no such object. */
+bool metricsFromRow(const std::string &row, Metrics *out);
 
 /** A "runs" row for a cell with no surviving system state (failed or
  * timed-out run): identity + status + attempts + error + metrics. */

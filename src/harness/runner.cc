@@ -1,6 +1,5 @@
 #include "harness/runner.hh"
 
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -11,7 +10,6 @@
 #include "common/knobs.hh"
 #include "common/logging.hh"
 #include "harness/pool.hh"
-#include "harness/progress.hh"
 #include "harness/results_json.hh"
 #include "harness/store.hh"
 #include "harness/watchdog.hh"
@@ -40,18 +38,7 @@ struct RunContext
     /** Watchdog liveness / cancellation wiring (campaign sweeps). */
     std::atomic<std::uint64_t> *progress = nullptr;
     std::atomic<int> *cancel = nullptr;
-    /** Committed-instruction counter for the campaign progress
-     * stream (null = unmonitored). */
-    std::atomic<std::uint64_t> *insts = nullptr;
 };
-
-double
-unixNow()
-{
-    return std::chrono::duration<double>(
-               std::chrono::system_clock::now().time_since_epoch())
-        .count();
-}
 
 void
 emit(const RunContext &ctx, const std::string &line)
@@ -107,7 +94,6 @@ runOneImpl(ConfigKind kind, const NamedWorkload &wl,
     RunOptions &ropts = cell.runOptions;
     ropts.progress = ctx.progress;
     ropts.cancel = ctx.cancel;
-    ropts.instsProgress = ctx.insts;
     // Per-run interval stats (D2M_INTERVAL_INSTS): the snapshotter
     // attaches to this system's stats tree and rides through
     // RunOptions, so concurrent runs never share one.
@@ -326,23 +312,7 @@ runSweep(const std::vector<ConfigKind> &configs,
     const std::uint64_t retries =
         opts.runRetries != ~std::uint64_t(0) ? opts.runRetries
                                              : knobU64(Knob::RunRetries);
-    const bool resume = knobU64(Knob::Resume) != 0;
     auto store = ResultStore::fromEnv();
-
-    // Campaign progress stream (D2M_PROGRESS_JSON + TTY status line).
-    // Created before the resume scan so resumed cells are counted; the
-    // explicit reset() after the execution loop emits the final record
-    // while the watchdog clients (whose insts counters it samples) are
-    // still alive.
-    std::vector<CampaignProgress::Cell> progressCells;
-    progressCells.reserve(specs.size());
-    for (const auto &s : specs) {
-        progressCells.push_back(
-            {s.wl->suite, s.wl->name, configKindName(s.kind)});
-    }
-    auto campaign = CampaignProgress::make(
-        CampaignProgress::fromEnv(opts.verbose),
-        std::move(progressCells));
 
     SweepOutcome outcome;
     outcome.total = specs.size();
@@ -357,12 +327,11 @@ runSweep(const std::vector<ConfigKind> &configs,
             keys[i] = makeRunKey(specs[i].kind, *specs[i].wl, len.warmup,
                                  len.measured, resolveBaseParams(opts));
             StoredRun prev;
-            if (resume && store->lookup(keys[i], &prev)) {
-                rows[i] = prev.metrics;
+            // A row that does not parse re-runs its cell.
+            if (store->lookup(keys[i], &prev) &&
+                metricsFromRow(prev.row, &rows[i])) {
                 exportRowJson(prev.row, baseSlot + i);
                 ++outcome.fromStore;
-                if (campaign)
-                    campaign->cellFromStore(i, runStatusName(prev.status));
                 switch (prev.status) {
                   case RunStatus::Ok: ++outcome.ok; break;
                   case RunStatus::Failed: ++outcome.failed; break;
@@ -420,7 +389,6 @@ runSweep(const std::vector<ConfigKind> &configs,
         WatchdogClient *client = clients[pi].get();
         ctx.progress = &client->progress;
         ctx.cancel = &client->cancel;
-        ctx.insts = &client->insts;
         std::string row;
         if (store)
             ctx.rowOut = &row;
@@ -444,8 +412,6 @@ runSweep(const std::vector<ConfigKind> &configs,
             ++attempts;
             client->rearm();
             watchdog.attach(client);
-            if (campaign)
-                campaign->cellStarted(i, attempt, &client->insts);
             if (opts.verbose) {
                 emit(ctx, vformat("  running %-10s %-14s on %s...\n",
                                   wl.suite.c_str(), wl.name.c_str(),
@@ -509,12 +475,9 @@ runSweep(const std::vector<ConfigKind> &configs,
                                   m.measureWallSec));
             }
             nOk.fetch_add(1, std::memory_order_relaxed);
-            if (campaign)
-                campaign->cellFinished(i, "ok");
-            if (store) {
-                store->put({keys[i], RunStatus::Ok, seedUsed, attempts,
-                            "", unixNow(), m.simKips, m, row});
-            }
+            if (store)
+                store->put({keys[i], RunStatus::Ok, seedUsed, attempts, "",
+                            row});
         } else if (abandoned) {
             // Not stored and not exported: a resumed campaign must
             // re-execute this cell.
@@ -525,8 +488,6 @@ runSweep(const std::vector<ConfigKind> &configs,
             m.status = "abandoned";
             m.attempts = attempts ? attempts : 1;
             nAbandoned.fetch_add(1, std::memory_order_relaxed);
-            if (campaign)
-                campaign->cellFinished(i, "abandoned");
         } else {
             m = Metrics{};
             m.config = configKindName(spec.kind);
@@ -537,14 +498,11 @@ runSweep(const std::vector<ConfigKind> &configs,
             m.errorMessage = error;
             row = buildFailureRow(m);
             exportRowJson(row, baseSlot + i);
-            if (campaign)
-                campaign->cellFinished(i, status);
             if (store) {
                 store->put({keys[i],
                             status == "timeout" ? RunStatus::Timeout
                                                 : RunStatus::Failed,
-                            seedUsed, attempts, error, unixNow(), 0.0,
-                            m, row});
+                            seedUsed, attempts, error, row});
             }
             (status == "timeout" ? nTimeout : nFailed)
                 .fetch_add(1, std::memory_order_relaxed);
@@ -582,9 +540,6 @@ runSweep(const std::vector<ConfigKind> &configs,
             pool.submit([&, pi] { executeCell(pi, /*parallel=*/true); });
         pool.wait();
     }
-    // Final progress record (and TTY newline) before the watchdog
-    // clients the reporter samples go away.
-    campaign.reset();
 
     outcome.executed = nExecuted.load();
     outcome.ok += nOk.load();

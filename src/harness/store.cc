@@ -13,7 +13,6 @@
 
 #include "common/knobs.hh"
 #include "common/logging.hh"
-#include "harness/results_json.hh"
 #include "obs/json.hh"
 
 namespace d2m
@@ -272,12 +271,7 @@ ResultStore::recordToJson(const StoredRun &run)
        << json::quote("0x" + hex64(run.seed)) << ","
        << json::quote("attempts") << ":" << json::number(run.attempts)
        << "," << json::quote("error") << ":" << json::quote(run.error)
-       << "," << json::quote("finished_unix") << ":"
-       << json::number(run.finishedUnix) << ","
-       << json::quote("host_kips") << ":" << json::number(run.hostKips)
-       << "," << json::quote("metrics") << ":"
-       << metricsToJson(run.metrics) << "," << json::quote("row") << ":"
-       << json::quote(run.row) << "}";
+       << "," << json::quote("row") << ":" << json::quote(run.row) << "}";
     return os.str();
 }
 
@@ -311,12 +305,6 @@ ResultStore::recordFromJson(const std::string &line, StoredRun *out)
     out->attempts =
         static_cast<std::uint64_t>(v["attempts"].asNumber());
     out->error = v["error"].asString();
-    // Records written before these fields existed parse as 0 (the
-    // missing-key lookup yields a null value).
-    out->finishedUnix = v["finished_unix"].asNumber();
-    out->hostKips = v["host_kips"].asNumber();
-    if (!metricsFromJson(v["metrics"], &out->metrics))
-        return false;
     out->row = v["row"].asString();
     return true;
 }

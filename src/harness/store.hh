@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "harness/configs.hh"
-#include "harness/metrics.hh"
 #include "workload/synthetic.hh"
 
 namespace d2m
@@ -87,18 +86,9 @@ struct StoredRun
     std::uint64_t seed = 0;      //!< Seed actually used (after jitter).
     std::uint64_t attempts = 1;  //!< Executions including retries.
     std::string error;           //!< Diagnostic for non-ok outcomes.
-    /** Host wall-clock (unix seconds) when the cell finished, and its
-     * measured simulation rate. Campaign-host telemetry only: the
-     * dashboard plots KIPS trends across resumed campaigns from these,
-     * and stats_diff's store loader deliberately omits them so stored
-     * documents still compare byte-identical across hosts. Zero in
-     * records written before these fields existed. */
-    double finishedUnix = 0;
-    double hostKips = 0;
-    Metrics metrics;
-    /** Verbatim D2M_STATS_JSON row (metrics+stats+intervals) for ok
-     * runs, so resume reproduces the document byte-for-byte. Empty
-     * when stats export was disabled or the run failed. */
+    /** The verbatim D2M_STATS_JSON row (buildRunRow for ok runs,
+     * buildFailureRow otherwise). Resume re-emits it byte-for-byte
+     * and rebuilds the cell's Metrics from its "metrics" object. */
     std::string row;
 };
 

@@ -5,12 +5,10 @@
  *
  * Every in-flight sweep cell owns a WatchdogClient whose progress
  * counter the execution driver updates every kPollEvery loop
- * iterations (the same counters the campaign progress stream samples
- * for per-cell KIPS). A single watchdog
- * thread polls all attached clients; a client whose progress has not
- * advanced for D2M_RUN_TIMEOUT is marked cancelled with reason
- * Timeout, and every client is marked Drain once a SIGINT/SIGTERM
- * drain is requested. The run loop polls its cancel flag and raises a
+ * iterations. A single watchdog thread polls all attached clients; a
+ * client whose progress has not advanced for D2M_RUN_TIMEOUT is
+ * marked cancelled with reason Timeout, and every client is marked
+ * Drain once a SIGINT/SIGTERM drain is requested. The run loop polls its cancel flag and raises a
  * fatal() that the per-thread abort capture converts into a
  * recoverable RunAborted outcome for just that cell (DESIGN.md §13).
  */
@@ -41,9 +39,6 @@ enum CancelReason : int
 struct WatchdogClient
 {
     std::atomic<std::uint64_t> progress{0};
-    /** Committed instructions so far (campaign progress stream; the
-     * watchdog itself only watches @ref progress). */
-    std::atomic<std::uint64_t> insts{0};
     std::atomic<int> cancel{kCancelNone};
 
     /** Reset for a fresh attempt (never clears a drain cancel — the
@@ -52,7 +47,6 @@ struct WatchdogClient
     rearm()
     {
         progress.store(0, std::memory_order_relaxed);
-        insts.store(0, std::memory_order_relaxed);
         int expected = kCancelTimeout;
         cancel.compare_exchange_strong(expected, kCancelNone,
                                        std::memory_order_relaxed);

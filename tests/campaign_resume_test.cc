@@ -7,7 +7,8 @@
  *
  * Children fork before anything reads D2M_STATS_JSON (its path is
  * latched on first use), set their own store/json env, run the sweep
- * serially, and _exit. The parent only waits and compares files.
+ * serially, write how many cells they started to <json>.started, and
+ * _exit. The parent only waits and compares files.
  */
 
 #include <gtest/gtest.h>
@@ -67,13 +68,12 @@ childSweep(const std::string &storeDir, const std::string &jsonPath,
     opts.jobs = 1;
     opts.runTimeoutMs = 0;
     opts.runRetries = 0;
-    if (killAtCell) {
-        opts.preRunHook = [killAtCell](const NamedWorkload &, unsigned) {
-            if (++cellsStarted == killAtCell)
-                ::kill(::getpid(), SIGKILL);  // no flush, no store write
-        };
-    }
+    opts.preRunHook = [killAtCell](const NamedWorkload &, unsigned) {
+        if (++cellsStarted == killAtCell)
+            ::kill(::getpid(), SIGKILL);  // no flush, no store write
+    };
     runSweep(kConfigs, smallWorkloads(), opts);
+    std::ofstream(jsonPath + ".started") << cellsStarted;
     std::fflush(nullptr);
     ::_exit(campaignExitCode(lastSweepOutcome()));
 }
@@ -139,7 +139,7 @@ removeTree(const std::string &dir)
 
 TEST(CampaignResume, KillResumeByteIdenticalStats)
 {
-    // Children inherit this binary, so the default __DATE__ __TIME__
+    // Children inherit this binary, so the default executable-hash
     // fingerprint already matches; pin it anyway for clarity.
     ::setenv("D2M_BUILD_FINGERPRINT", "resume-test", 1);
     ::unsetenv("D2M_STORE_DIR");
@@ -153,8 +153,15 @@ TEST(CampaignResume, KillResumeByteIdenticalStats)
     const std::string jsonA = tmp + "resume_a.json";
     const std::string jsonB = tmp + "resume_b.json";
     const std::string jsonC = tmp + "resume_c.json";
-    removeTree(store);
-    removeTree(storeRef);
+    auto cleanUp = [&] {
+        for (const std::string &doc : {jsonA, jsonB, jsonC}) {
+            std::remove(doc.c_str());
+            std::remove((doc + ".started").c_str());
+        }
+        removeTree(store);
+        removeTree(storeRef);
+    };
+    cleanUp();
 
     // Phase A: campaign SIGKILLed when the 4th cell starts. Cells
     // 1-3 are already durable; nothing else may survive.
@@ -167,23 +174,13 @@ TEST(CampaignResume, KillResumeByteIdenticalStats)
             << "exactly the cells finished before the kill";
     }
 
-    // Host telemetry from phase A: every durable record carries the
-    // wall-clock finish time and host simulation rate.
-    std::vector<StoredRun> phaseA;
-    {
-        ResultStore partial(store);
-        phaseA = partial.all();
-        for (const StoredRun &r : phaseA) {
-            EXPECT_GT(r.finishedUnix, 0.0) << r.key.hex();
-            EXPECT_GT(r.hostKips, 0.0) << r.key.hex();
-        }
-    }
-
     // Phase B: resume against the same store. Only the missing six
     // cells execute; exit must be clean.
     int code = runChild(store, jsonB, 0, &sig);
     EXPECT_EQ(sig, 0);
     EXPECT_EQ(code, kCampaignExitClean);
+    EXPECT_EQ(readFile(jsonB + ".started"), "6")
+        << "resume must start only the cells missing from the store";
 
     // Phase C: uninterrupted reference campaign, fresh store.
     code = runChild(storeRef, jsonC, 0, &sig);
@@ -197,58 +194,10 @@ TEST(CampaignResume, KillResumeByteIdenticalStats)
     EXPECT_EQ(normalizedDoc(docB), normalizedDoc(docC))
         << "resumed document must be byte-identical to uninterrupted";
 
-    // Resume was genuinely incremental: the resumed store must still
-    // hold all nine cells afterwards, every record carries host
-    // telemetry, and the pre-kill records were served from the store
-    // verbatim — their finish timestamps are untouched by phase B.
-    ResultStore full(store);
-    EXPECT_EQ(full.size(), 9u);
-    for (const StoredRun &r : full.all()) {
-        EXPECT_GT(r.finishedUnix, 0.0) << r.key.hex();
-        EXPECT_GT(r.hostKips, 0.0) << r.key.hex();
-    }
-    for (const StoredRun &a : phaseA) {
-        StoredRun after;
-        ASSERT_TRUE(full.lookup(a.key, &after));
-        EXPECT_EQ(after.finishedUnix, a.finishedUnix)
-            << "resume must not re-stamp stored cells";
-        EXPECT_EQ(after.hostKips, a.hostKips);
-    }
+    EXPECT_EQ(readFile(jsonC + ".started"), "9");
+    EXPECT_EQ(ResultStore(store).size(), 9u);
 
-    std::remove(jsonA.c_str());
-    std::remove(jsonB.c_str());
-    std::remove(jsonC.c_str());
-    removeTree(store);
-    removeTree(storeRef);
-    ::unsetenv("D2M_BUILD_FINGERPRINT");
-}
-
-TEST(CampaignResume, ResumeDisabledReexecutesEverything)
-{
-    ::setenv("D2M_BUILD_FINGERPRINT", "resume-test-2", 1);
-    const std::string tmp = testing::TempDir();
-    const std::string store = tmp + "resume_store_off";
-    const std::string json1 = tmp + "resume_off_1.json";
-    const std::string json2 = tmp + "resume_off_2.json";
-    removeTree(store);
-
-    int sig = 0;
-    int code = runChild(store, json1, 0, &sig);
-    EXPECT_EQ(code, kCampaignExitClean);
-
-    // With D2M_RESUME=0 the store is ignored for lookups (but still
-    // written): the sweep runs all cells again and must still succeed.
-    ::setenv("D2M_RESUME", "0", 1);
-    code = runChild(store, json2, 0, &sig);
-    ::unsetenv("D2M_RESUME");
-    EXPECT_EQ(sig, 0);
-    EXPECT_EQ(code, kCampaignExitClean);
-    EXPECT_EQ(normalizedDoc(readFile(json1)),
-              normalizedDoc(readFile(json2)));
-
-    std::remove(json1.c_str());
-    std::remove(json2.c_str());
-    removeTree(store);
+    cleanUp();
     ::unsetenv("D2M_BUILD_FINGERPRINT");
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * Knob-table tests (common/knobs.hh): the table is well formed,
- * README.md names exactly its rows, every manifest key round-trips
- * onto its variable, malformed unsigned values and undeclared D2M_*
- * variables are fatal, and D2M_QUIET=0 means verbose.
+ * README.md names exactly its rows, malformed unsigned values and
+ * undeclared or removed D2M_* variables are fatal, and D2M_QUIET=0
+ * means verbose.
  */
 
 #include <gtest/gtest.h>
@@ -14,9 +14,9 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/knobs.hh"
-#include "harness/manifest.hh"
 #include "harness/runner.hh"
 
 namespace d2m
@@ -32,16 +32,9 @@ TEST(Knobs, TableIsWellFormed)
         const KnobRow &r = rows[i];
         EXPECT_EQ(r.id, static_cast<Knob>(i)) << r.env;
         EXPECT_EQ(std::string(r.env).rfind("D2M_", 0), 0u) << r.env;
-        EXPECT_EQ(r.section == nullptr, r.key == nullptr) << r.env;
         EXPECT_NE(std::string(r.help), "") << r.env;
-        for (std::size_t j = i + 1; j < rows.size(); ++j) {
+        for (std::size_t j = i + 1; j < rows.size(); ++j)
             EXPECT_STRNE(r.env, rows[j].env);
-            if (r.key && rows[j].key) {
-                EXPECT_FALSE(std::string(r.section) == rows[j].section &&
-                             std::string(r.key) == rows[j].key)
-                    << "duplicate key " << r.section << "." << r.key;
-            }
-        }
     }
 }
 
@@ -73,39 +66,30 @@ TEST(Knobs, ReadmeNamesExactlyTheRows)
     for (const std::string &n : named)
         EXPECT_TRUE(rows.count(n)) << "README.md names " << n
                                    << ", which is not a knob";
-}
 
-TEST(Knobs, ManifestKeysRoundTrip)
-{
-    for (const KnobRow &r : knobTable()) {
-        if (!r.key)
+    // The "Knobs" table has one `| variable | default | effect |` row
+    // per knob, in table order.
+    const std::regex row(R"(\| `(D2M_[A-Z0-9_]+)` \|[^|]+\|[^|]+\|)");
+    std::vector<std::string> readmeOrder, tableOrder;
+    std::istringstream lines(doc);
+    for (std::string line; std::getline(lines, line);) {
+        std::smatch m;
+        if (line.rfind("| `D2M_", 0) != 0)
             continue;
-        const bool u64 = r.kind == KnobKind::U64;
-        const std::string value = u64 ? "7" : "some/value";
-        Manifest m = parseManifestText(std::string("[") + r.section +
-                                           "]\n" + r.key + " = " +
-                                           value + "\n",
-                                       "t");
-        ASSERT_EQ(m.entries.size(), 1u) << r.env;
-        EXPECT_EQ(m.entries[0].env, r.env);
-        ::unsetenv(r.env);
-        EXPECT_EQ(applyManifest(m, false), 1u) << r.env;
-        EXPECT_TRUE(knobSet(r.id)) << r.env;
-        if (u64)
-            EXPECT_EQ(knobU64(r.id), 7u) << r.env;
-        else
-            EXPECT_EQ(knobStr(r.id), value) << r.env;
-        ::unsetenv(r.env);
+        EXPECT_TRUE(std::regex_match(line, m, row)) << line;
+        readmeOrder.push_back(m[1]);
     }
+    for (const KnobRow &r : knobTable())
+        tableOrder.push_back(r.env);
+    EXPECT_EQ(readmeOrder, tableOrder);
 }
 
 TEST(Knobs, UnsetReadsTheDefault)
 {
-    ::unsetenv("D2M_PROGRESS_SEC");
+    ::unsetenv("D2M_RUN_TIMEOUT");
     ::unsetenv("D2M_TRACE_FILE");
-    EXPECT_FALSE(knobSet(Knob::ProgressSec));
-    EXPECT_EQ(knobU64(Knob::ProgressSec),
-              knobRow(Knob::ProgressSec).def);
+    EXPECT_FALSE(knobSet(Knob::RunTimeout));
+    EXPECT_EQ(knobU64(Knob::RunTimeout), knobRow(Knob::RunTimeout).def);
     EXPECT_EQ(knobStr(Knob::TraceFile), "");
 }
 
@@ -133,6 +117,17 @@ TEST(KnobsDeathTest, UndeclaredVariableIsFatal)
     ::unsetenv("D2M_INSTS_PER_COR");
 }
 
+TEST(KnobsDeathTest, RemovedKnobIsFatal)
+{
+    // A knob deleted from the table is an undeclared variable: a
+    // script that still exports it stops instead of silently running
+    // without the output it expects.
+    ::setenv("D2M_PROGRESS_JSON", "progress.jsonl", 1);
+    EXPECT_EXIT(checkKnobEnv(), testing::ExitedWithCode(1),
+                "D2M_PROGRESS_JSON is not a D2M knob");
+    ::unsetenv("D2M_PROGRESS_JSON");
+}
+
 /** stderr of a one-cell sweep with default SweepOptions. */
 std::string
 sweepStderr()
@@ -152,10 +147,6 @@ TEST(Knobs, QuietZeroLeavesSweepVerbose)
     ::setenv("D2M_QUIET", "0", 1);
     EXPECT_NE(sweepStderr().find("running"), std::string::npos);
     ::unsetenv("D2M_QUIET");
-
-    Manifest m = parseManifestText("[campaign]\nquiet = 0\n", "t");
-    applyManifest(m, false);
-    EXPECT_NE(sweepStderr().find("running"), std::string::npos);
 
     ::setenv("D2M_QUIET", "1", 1);
     EXPECT_EQ(sweepStderr().find("running"), std::string::npos);

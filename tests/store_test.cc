@@ -12,6 +12,8 @@
 #include <fstream>
 #include <string>
 
+#include "harness/configs.hh"
+#include "harness/results_json.hh"
 #include "harness/store.hh"
 #include "workload/suites.hh"
 
@@ -51,14 +53,24 @@ sampleRun(std::uint64_t keyHash, RunStatus status = RunStatus::Ok)
     run.seed = 0xDEADBEEFCAFE0001ull;  // needs full 64-bit round-trip
     run.attempts = 2;
     run.error = status == RunStatus::Ok ? "" : "synthetic \"error\"";
-    run.metrics.config = "Base-2L";
-    run.metrics.suite = "stest";
-    run.metrics.benchmark = "wl";
-    run.metrics.instructions = 4000;
-    run.metrics.cycles = 12345;
-    run.metrics.ipc = 1.75;
-    run.metrics.msgsPerKiloInst = 42.5;
-    run.row = "{\"config\":\"Base-2L\",\"nested\":{\"q\":\"a\\\"b\"}}";
+    Metrics m;
+    m.config = "Base-2L";
+    m.suite = "stest";
+    m.benchmark = "wl";
+    m.instructions = 4000;
+    m.cycles = 12345;
+    m.ipc = 1.75;
+    m.msgsPerKiloInst = 42.5;
+    // The rows a sweep stores: metrics + stats tree, or the failure
+    // row with status, attempts and the (quoted) error.
+    if (status == RunStatus::Ok) {
+        run.row = buildRunRow(m, *makeSystem(ConfigKind::Base2L));
+    } else {
+        m.status = runStatusName(status);
+        m.attempts = run.attempts;
+        m.errorMessage = run.error;
+        run.row = buildFailureRow(m);
+    }
     return run;
 }
 
@@ -75,13 +87,17 @@ TEST(ResultStore, RecordRoundTrip)
     EXPECT_EQ(back.seed, run.seed);
     EXPECT_EQ(back.attempts, run.attempts);
     EXPECT_EQ(back.error, run.error);
-    EXPECT_EQ(back.metrics.config, run.metrics.config);
-    EXPECT_EQ(back.metrics.instructions, run.metrics.instructions);
-    EXPECT_EQ(back.metrics.cycles, run.metrics.cycles);
-    EXPECT_DOUBLE_EQ(back.metrics.ipc, run.metrics.ipc);
-    EXPECT_DOUBLE_EQ(back.metrics.msgsPerKiloInst,
-                     run.metrics.msgsPerKiloInst);
     EXPECT_EQ(back.row, run.row) << "row must survive escaping";
+
+    // Resume rebuilds the Metrics from the row's "metrics" object.
+    Metrics m;
+    ASSERT_TRUE(metricsFromRow(back.row, &m));
+    EXPECT_EQ(m.config, "Base-2L");
+    EXPECT_EQ(m.status, "ok");
+    EXPECT_EQ(m.instructions, 4000u);
+    EXPECT_EQ(m.cycles, 12345u);
+    EXPECT_DOUBLE_EQ(m.ipc, 1.75);
+    EXPECT_DOUBLE_EQ(m.msgsPerKiloInst, 42.5);
 }
 
 TEST(ResultStore, FailureRecordRoundTrip)
@@ -92,6 +108,13 @@ TEST(ResultStore, FailureRecordRoundTrip)
                                             &back));
     EXPECT_EQ(back.status, RunStatus::Timeout);
     EXPECT_EQ(back.error, run.error);
+    EXPECT_EQ(back.row, run.row);
+
+    Metrics m;
+    ASSERT_TRUE(metricsFromRow(back.row, &m));
+    EXPECT_EQ(m.status, "timeout");
+    EXPECT_EQ(m.attempts, 2u);
+    EXPECT_EQ(m.errorMessage, run.error);
 }
 
 TEST(ResultStore, PutLookupReloadLastWins)

@@ -3,14 +3,11 @@
  * Campaign driver: the full (configs x workloads) grid as one
  * crash-safe, resumable run (DESIGN.md §13).
  *
- * Usage: d2m_campaign [--manifest=FILE]
+ * Usage: d2m_campaign
  *
- * A manifest (harness/manifest.hh) declares the whole campaign in one
- * file; applying it seeds the environment, and variables already set
- * in the environment win over manifest values — so a manifest-driven
- * campaign is exactly the equivalent env-var-driven one. `--help`
- * prints every knob from the knob table (common/knobs.hh), including
- * the D2M_CAMPAIGN_* hooks that tests/ and CI use to exercise crash
+ * The D2M_* environment configures the campaign. `--help` prints
+ * every knob from the knob table (common/knobs.hh), including the
+ * D2M_CAMPAIGN_* hooks that tests/ and CI use to exercise crash
  * paths.
  *
  * Exit code: 0 all cells ok, 2 some cells failed or timed out,
@@ -27,9 +24,7 @@
 
 #include "common/knobs.hh"
 #include "common/logging.hh"
-#include "harness/manifest.hh"
 #include "harness/runner.hh"
-#include "harness/store.hh"
 #include "workload/suites.hh"
 
 namespace
@@ -39,20 +34,12 @@ void
 usage(std::FILE *out)
 {
     std::fprintf(out,
-                 "usage: d2m_campaign [--manifest=FILE]\n\n"
+                 "usage: d2m_campaign\n\n"
                  "Runs the full (configs x workloads) grid as one "
-                 "crash-safe, resumable campaign.\nA manifest seeds "
-                 "the D2M_* environment (already-set variables win).\n\n"
-                 "Knobs ([section] key -> variable):\n");
-    const char *section = "";
+                 "crash-safe, resumable campaign.\n\n"
+                 "Knobs (environment variables):\n");
     for (const d2m::KnobRow &k : d2m::knobTable()) {
-        const char *s = k.section ? k.section : "environment only";
-        if (std::strcmp(section, s) != 0) {
-            section = s;
-            std::fprintf(out, "  [%s]\n", section);
-        }
-        std::fprintf(out, "    %-17s -> %s%s\n        %s\n",
-                     k.key ? k.key : "", k.env,
+        std::fprintf(out, "  %s%s\n      %s\n", k.env,
                      k.kind == d2m::KnobKind::U64 ? " (integer)" : "",
                      k.help);
     }
@@ -65,28 +52,14 @@ main(int argc, char **argv)
 {
     using namespace d2m;
 
-    std::string manifestPath;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--help") == 0 ||
-            std::strcmp(arg, "-h") == 0) {
-            usage(stdout);
-            return 0;
-        } else if (std::strncmp(arg, "--manifest=", 11) == 0) {
-            manifestPath = arg + 11;
-        } else if (std::strcmp(arg, "--manifest") == 0 &&
-                   i + 1 < argc) {
-            manifestPath = argv[++i];
-        } else {
+    if (argc > 1) {
+        const bool help = std::strcmp(argv[1], "--help") == 0 ||
+                          std::strcmp(argv[1], "-h") == 0;
+        if (!help)
             std::fprintf(stderr, "d2m_campaign: unknown argument '%s'\n",
-                         arg);
-            usage(stderr);
-            return 1;
-        }
-    }
-    if (!manifestPath.empty()) {
-        Manifest m = parseManifestFile(manifestPath);
-        applyManifest(m, knobU64(Knob::Quiet) == 0);
+                         argv[1]);
+        usage(help ? stdout : stderr);
+        return help ? 0 : 1;
     }
 
     SweepOptions opts;
