@@ -49,17 +49,20 @@ main()
     double private_sum = 0;
     unsigned n = 0;
     for (const auto &suite : suiteNames()) {
-        const double pct = suiteMean(rows, suite, "D2M-NS-R",
-                                     [](const Metrics &m) {
-                                         return m.privateMissPct;
-                                     });
+        const auto pct = suiteMean(rows, suite, "D2M-NS-R",
+                                   [](const Metrics &m) {
+                                       return m.privateMissPct;
+                                   });
+        if (!pct)
+            continue;  // filtered out or failed: not a 0% suite
         std::printf("  %-10s misses to private regions: %.0f%%\n",
-                    suite.c_str(), pct);
-        private_sum += pct;
+                    suite.c_str(), *pct);
+        private_sum += *pct;
         ++n;
     }
-    std::printf("  %-10s misses to private regions: %.0f%%   "
+    std::printf("  %-10s misses to private regions: %s   "
                 "[paper: 68%% average, Server 100%%]\n",
-                "AVERAGE", n ? private_sum / n : 0);
+                "AVERAGE",
+                n ? (fmt(private_sum / n, 0) + "%").c_str() : "n/a");
     return d2m::bench::benchExitCode();
 }

@@ -3,7 +3,6 @@
 #include "common/logging.hh"
 #include "fault/base_fault_model.hh"
 #include "obs/debug.hh"
-#include "obs/trace.hh"
 
 namespace d2m
 {
@@ -112,8 +111,6 @@ BaselineSystem::invalidateInNode(NodeId n, Addr line_addr,
         energy_.count(Structure::L2Tag, nodes_[n].l2->assoc());
     if (!found)
         ++stats_.falseInvalidations;
-    obs::traceEvent(obs::TraceKind::CohDowngrade, n, line_addr,
-                    /*false_inv=*/found ? 0 : 1);
     return have_m;
 }
 
@@ -380,8 +377,6 @@ BaselineSystem::access(NodeId node, const MemAccess &acc, Tick)
             DTRACE(Coherence, this,
                    "node%u S->M upgrade line 0x%llx through directory",
                    node, static_cast<unsigned long long>(line_addr));
-            obs::traceEvent(obs::TraceKind::CohUpgrade, node, line_addr,
-                            /*proto_case=*/'U');
             lat += noc_.send(node, farSide(), MsgType::UpgradeReq);
             energy_.count(Structure::LlcTag, llc_->assoc());
             energy_.count(Structure::Directory);

@@ -27,8 +27,7 @@ knobTable()
              "write every run's metrics, stats tree and intervals as "
              "one JSON document"},
             {K::Jobs, "D2M_JOBS", U64, 0,
-             "concurrent sweep cells (0 = hardware threads, or serial "
-             "while D2M_TRACE_FILE is set)"},
+             "concurrent sweep cells (0 = hardware threads)"},
             {K::RunTimeout, "D2M_RUN_TIMEOUT", U64, 0,
              "cancel a cell after N seconds without progress and record "
              "it as timeout (0 = off)"},
@@ -62,9 +61,6 @@ knobTable()
             {K::Debug, "D2M_DEBUG", Str, 0,
              "debug trace flags to stderr: MD, Coherence, NoC, "
              "Replacement, Fault, NSLLC, Index, Exec, All"},
-            {K::TraceFile, "D2M_TRACE_FILE", Str, 0,
-             "typed event trace as JSONL (parallel jobs write "
-             "<file>.job<N>)"},
             {K::IntervalInsts, "D2M_INTERVAL_INSTS", U64, 0,
              "snapshot all stats every N committed instructions into "
              "the D2M_STATS_JSON intervals (0 = off)"},

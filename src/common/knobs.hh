@@ -42,7 +42,6 @@ enum class Knob : std::uint8_t
     Warmup,
     Seed,
     Debug,
-    TraceFile,
     IntervalInsts,
     BenchJsonDir,
     CampaignKillAfter,

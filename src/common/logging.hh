@@ -48,41 +48,6 @@ void setThreadLogPrefix(std::string prefix);
 const std::string &threadLogPrefix();
 
 /**
- * Hook run on the way out of panic()/fatal(), before the process
- * dies. Used by the observability layer to flush buffered trace
- * records so crash traces are debuggable (panic() aborts without
- * running destructors or atexit handlers). Hooks must be async-safe
- * enough to run mid-crash: no allocation-heavy work, no logging.
- */
-using CrashHook = void (*)();
-
-/** Register @p hook (bounded registry; at most 8, extras dropped). */
-void registerCrashHook(CrashHook hook);
-
-/** Run all registered hooks once; reentrant calls are no-ops. */
-void runCrashHooks();
-
-/**
- * Run the registered hooks WITHOUT latching the one-shot flag: the
- * per-run abort path (see ScopedAbortCapture) flushes a failing run's
- * trace tail but the process keeps executing the rest of the sweep,
- * so a later real crash must still be able to run the hooks. Hooks
- * must therefore tolerate repeated invocation (the trace-sink flush
- * does: an empty buffer flushes nothing).
- */
-void runAbortFlushHooks();
-
-/**
- * Install SIGINT/SIGTERM handlers that run the crash hooks (flushing
- * the trace sink; interval CSVs are flushed per row already) and then
- * re-raise the signal with its default disposition, so signal-driven
- * shutdown keeps the process's observable exit status while leaving
- * debuggable traces behind. Idempotent; never clobbers a non-default
- * handler someone else installed first (e.g. the sweep drain handler).
- */
-void installSignalFlushHandlers();
-
-/**
  * Thrown by fatal()/panic() instead of killing the process while a
  * ScopedAbortCapture is active on the calling thread. The campaign
  * runner converts it into a FAILED cell outcome; everything between
@@ -111,9 +76,9 @@ class RunAbortError : public std::exception
 
 /**
  * While alive, fatal()/panic() on THIS thread throw RunAbortError
- * (after flushing the thread's trace tail) instead of terminating the
- * process. Scopes nest; the capture is per-thread, so a parallel
- * sweep job aborting never affects its siblings or the main thread.
+ * instead of terminating the process. Scopes nest; the capture is
+ * per-thread, so a parallel sweep job aborting never affects its
+ * siblings or the main thread.
  */
 class ScopedAbortCapture
 {

@@ -6,7 +6,6 @@
 #include "common/logging.hh"
 #include "obs/debug.hh"
 #include "obs/snapshot.hh"
-#include "obs/trace.hh"
 
 namespace d2m
 {
@@ -71,9 +70,6 @@ runMulticore(MemorySystem &system,
                                              debug::curTick);
             system.resetStats();
             measure_start = Clock::now();
-            // Marker so post-warmup aggregates recomputed from the
-            // trace line up with the (reset) Stats counters.
-            obs::traceEvent(obs::TraceKind::StatsReset, 0);
             insts_at_reset = total_committed;
             for (const auto &core : cores) {
                 cycles_at_reset =
@@ -114,19 +110,12 @@ runMulticore(MemorySystem &system,
         }
 
         debug::setCurTick(core.now());
-        if (obs::traceEnabled() ||
-            debug::enabled(debug::Flag::Exec)) [[unlikely]] {
-            const unsigned op =
-                isIFetch(acc.type) ? 0 : isWrite(acc.type) ? 2 : 1;
-            DTRACE(Exec, &system, "node%u %s line 0x%llx", best,
-                   op == 0 ? "ifetch" : op == 1 ? "load" : "store",
-                   static_cast<unsigned long long>(line_addr));
-            obs::traceEvent(obs::TraceKind::AccessIssue, best, line_addr,
-                            op);
-        }
+        DTRACE(Exec, &system, "node%u %s line 0x%llx", best,
+               isIFetch(acc.type)  ? "ifetch"
+               : isWrite(acc.type) ? "store"
+                                   : "load",
+               static_cast<unsigned long long>(line_addr));
         const AccessResult res = system.access(best, acc, core.now());
-        obs::traceEvent(obs::TraceKind::AccessComplete, best, line_addr,
-                        res.latency, res.l1Miss);
         ++result.accesses;
         result.totalAccessLatency += res.latency;
         if (opts.snapshotter) [[unlikely]]
@@ -218,11 +207,6 @@ runMulticore(MemorySystem &system,
                          ? static_cast<double>(result.instructions) /
                                result.measureWallSec / 1000.0
                          : 0.0;
-    debug::setCurTick(result.cycles);
-    obs::traceEvent(obs::TraceKind::RunEnd, 0, result.accesses,
-                    result.instructions,
-                    static_cast<std::uint64_t>(result.simKips));
-    obs::flushGlobal();
     return result;
 }
 

@@ -6,7 +6,6 @@
 #include "common/logging.hh"
 #include "fault/d2m_fault_model.hh"
 #include "obs/debug.hh"
-#include "obs/trace.hh"
 
 namespace d2m
 {
@@ -356,8 +355,6 @@ D2mSystem::caseD(NodeId node, bool side_i, AsId asid, Addr vaddr,
                    "region 0x%llx reclassified private -> shared "
                    "(node%u joins)",
                    static_cast<unsigned long long>(pregion), node);
-            obs::traceEvent(obs::TraceKind::RegionClass, node, pregion,
-                            /*shared=*/1, /*was_shared=*/0);
             NodeId owner = 0;
             while (!((e3->pb >> owner) & 1))
                 ++owner;
@@ -1084,8 +1081,6 @@ D2mSystem::fetchFromMaster(NodeId node, const LocationInfo &master,
     DTRACE(MD, this, "node%u LI hop for line 0x%llx -> kind %d target %u",
            node, static_cast<unsigned long long>(line_addr),
            static_cast<int>(master.kind), master.node);
-    obs::traceEvent(obs::TraceKind::LiHop, node, line_addr,
-                    static_cast<std::uint64_t>(master.kind), master.node);
     ++curLiHops_;
     switch (master.kind) {
       case LiKind::Llc: {
@@ -1198,8 +1193,6 @@ D2mSystem::caseC(NodeId node, ActiveMd &md, std::uint64_t pregion,
     DTRACE(Coherence, this,
            "node%u write upgrade line 0x%llx: case C through MD3",
            node, static_cast<unsigned long long>(line_addr));
-    obs::traceEvent(obs::TraceKind::CohUpgrade, node, line_addr,
-                    /*proto_case=*/'C');
 
     lat += noc_.send(node, farSide(), MsgType::ReadExReq);
     energy_.count(Structure::Md3);
@@ -1237,8 +1230,6 @@ D2mSystem::caseC(NodeId node, ActiveMd &md, std::uint64_t pregion,
         DTRACE(Coherence, this,
                "node%u invalidated for line 0x%llx (writer node%u)",
                p, static_cast<unsigned long long>(line_addr), node);
-        obs::traceEvent(obs::TraceKind::CohDowngrade, p, line_addr,
-                        /*false_inv=*/0);
         invalidateLineAtNode(p, pregion, idx, line_addr,
                              LocationInfo::inNode(node));
         noc_.send(p, node, MsgType::InvAck);
@@ -1256,8 +1247,6 @@ D2mSystem::caseC(NodeId node, ActiveMd &md, std::uint64_t pregion,
         DTRACE(Coherence, this,
                "region 0x%llx reclassified shared -> private (node%u)",
                static_cast<unsigned long long>(pregion), node);
-        obs::traceEvent(obs::TraceKind::RegionClass, node, pregion,
-                        /*shared=*/0, /*was_shared=*/1);
         setPrivate(md, true);
         for (auto &li : e3->li)
             li = LocationInfo::invalid();
@@ -1415,8 +1404,6 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
                            "(private, hit)",
                            node,
                            static_cast<unsigned long long>(line_addr));
-                    obs::traceEvent(obs::TraceKind::CohUpgrade, node,
-                                    line_addr, /*proto_case=*/'B');
                     LocationInfo m = slot.rp;
                     // Chained local NS replica? Drop it first.
                     while (liIsLocal(node, m, line_addr, md.scramble())) {
@@ -1582,8 +1569,6 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
             DTRACE(Coherence, this,
                    "node%u store upgrade line 0x%llx: case B (private)",
                    node, static_cast<unsigned long long>(line_addr));
-            obs::traceEvent(obs::TraceKind::CohUpgrade, node, line_addr,
-                            /*proto_case=*/'B');
             const DropResult dropped =
                 dropLocalCopies(node, md, idx, line_addr);
             const LocationInfo master = md.li()[idx];

@@ -21,7 +21,6 @@
 #include "common/stats.hh"
 #include "fault/fault_model.hh"
 #include "obs/debug.hh"
-#include "obs/trace.hh"
 #include "sim/sim_object.hh"
 
 namespace d2m
@@ -219,7 +218,7 @@ class FaultInjector
 
     void setHopLatency(Cycles hop) { hopLatency_ = hop; }
 
-    /** Fault classes shared by the trace records (DESIGN.md §10). */
+    /** Fault classes, printed by number in the Fault DTRACE lines. */
     enum class FaultClass : std::uint64_t
     {
         Meta = 0, DataFlip = 1, Loss = 2,
@@ -239,9 +238,6 @@ class FaultInjector
         DTRACE(Fault, &stats_,
                "metadata corruption detected (latency %llu accesses)",
                static_cast<unsigned long long>(latency));
-        obs::traceEvent(obs::TraceKind::FaultDetect, 0, 0,
-                        static_cast<std::uint64_t>(FaultClass::Meta),
-                        latency);
     }
 
     /** Record an ECC data correction. */
@@ -257,9 +253,6 @@ class FaultInjector
         DTRACE(Fault, &stats_,
                "ECC corrected a data flip (latency %llu accesses)",
                static_cast<unsigned long long>(latency));
-        obs::traceEvent(obs::TraceKind::FaultDetect, 0, 0,
-                        static_cast<std::uint64_t>(FaultClass::DataFlip),
-                        latency);
     }
 
     /** Record a completed recovery action (host rebuild / refetch). */
@@ -269,8 +262,6 @@ class FaultInjector
         DTRACE(Fault, &stats_, "recovery action %llu (detail %llu)",
                static_cast<unsigned long long>(what),
                static_cast<unsigned long long>(detail));
-        obs::traceEvent(obs::TraceKind::FaultRecover, 0, 0,
-                        static_cast<std::uint64_t>(what), detail);
     }
 
     /**
@@ -293,7 +284,7 @@ class FaultInjector
 
   private:
     /** Shared injection bookkeeping: one-time activation warning plus
-     * the per-fault trace record. */
+     * the per-fault debug line. */
     void
     noteInjected(FaultClass what)
     {
@@ -303,8 +294,6 @@ class FaultInjector
         DTRACE(Fault, &stats_, "injected fault class %llu at access %llu",
                static_cast<unsigned long long>(what),
                static_cast<unsigned long long>(accessNo_));
-        obs::traceEvent(obs::TraceKind::FaultInject, 0, 0,
-                        static_cast<std::uint64_t>(what), accessNo_);
     }
 
     FaultParams params_;

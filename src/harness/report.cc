@@ -95,20 +95,7 @@ findRow(const std::vector<Metrics> &rows, const std::string &benchmark,
     return nullptr;
 }
 
-double
-suiteGeomean(const std::vector<Metrics> &rows, const std::string &suite,
-             const std::string &config,
-             const std::function<double(const Metrics &)> &get)
-{
-    std::vector<double> vals;
-    for (const auto &m : rows) {
-        if (m.suite == suite && m.config == config)
-            vals.push_back(get(m));
-    }
-    return geomean(vals);
-}
-
-double
+std::optional<double>
 suiteMean(const std::vector<Metrics> &rows, const std::string &suite,
           const std::string &config,
           const std::function<double(const Metrics &)> &get)
@@ -116,12 +103,14 @@ suiteMean(const std::vector<Metrics> &rows, const std::string &suite,
     double sum = 0;
     unsigned n = 0;
     for (const auto &m : rows) {
-        if (m.suite == suite && m.config == config) {
+        if (m.suite == suite && m.config == config && m.status == "ok") {
             sum += get(m);
             ++n;
         }
     }
-    return n ? sum / n : 0.0;
+    if (!n)
+        return std::nullopt;
+    return sum / n;
 }
 
 std::string

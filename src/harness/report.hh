@@ -8,6 +8,7 @@
 #define D2M_HARNESS_REPORT_HH
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,15 +49,12 @@ const Metrics *findRow(const std::vector<Metrics> &rows,
                        const std::string &benchmark,
                        const std::string &config);
 
-/** Geomean of a metric over a suite's benchmarks for one config. */
-double suiteGeomean(const std::vector<Metrics> &rows,
-                    const std::string &suite, const std::string &config,
-                    const std::function<double(const Metrics &)> &get);
-
-/** Plain mean variant. */
-double suiteMean(const std::vector<Metrics> &rows, const std::string &suite,
-                 const std::string &config,
-                 const std::function<double(const Metrics &)> &get);
+/** Mean of a metric over a suite's "ok" rows for one config; empty
+ * when the suite has none (filtered out, or every cell failed). */
+std::optional<double>
+suiteMean(const std::vector<Metrics> &rows, const std::string &suite,
+          const std::string &config,
+          const std::function<double(const Metrics &)> &get);
 
 /** Distinct benchmark names (in order) of @p rows. */
 std::vector<std::string> benchmarksIn(const std::vector<Metrics> &rows);

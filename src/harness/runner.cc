@@ -14,7 +14,6 @@
 #include "harness/store.hh"
 #include "harness/watchdog.hh"
 #include "obs/snapshot.hh"
-#include "obs/trace.hh"
 
 namespace d2m
 {
@@ -27,8 +26,6 @@ struct RunContext
 {
     /** Output slot in the D2M_STATS_JSON "runs" array. */
     std::uint64_t slot = kRunSlotAppend;
-    /** Suffix for per-job observability files ("" = plain names). */
-    std::string obsSuffix;
     /** When non-null, messages buffer here instead of stderr so a
      * parallel job's output flushes as one contiguous block. */
     std::string *log = nullptr;
@@ -119,26 +116,12 @@ runOneImpl(ConfigKind kind, const NamedWorkload &wl,
     return m;
 }
 
-/**
- * Effective job count for a sweep of @p total runs. Auto (opts.jobs
- * == 0) stays serial when a single-file trace output is configured
- * and D2M_JOBS doesn't explicitly override — an existing
- * `D2M_TRACE_FILE=t.jsonl ./d2m_sweep` invocation keeps producing
- * exactly the file it always did.
- */
+/** Effective job count for a sweep of @p total runs (0 = auto:
+ * D2M_JOBS if set, else the hardware thread count). */
 unsigned
 resolveJobs(const SweepOptions &opts, std::size_t total)
 {
-    unsigned jobs = opts.jobs;
-    if (jobs == 0) {
-        if (knobU64(Knob::Jobs) > 0) {
-            jobs = WorkStealingPool::defaultJobs();
-        } else if (!obs::traceFilePath().empty()) {
-            jobs = 1;
-        } else {
-            jobs = WorkStealingPool::defaultJobs();
-        }
-    }
+    unsigned jobs = opts.jobs ? opts.jobs : WorkStealingPool::defaultJobs();
     if (total < jobs)
         jobs = total ? static_cast<unsigned>(total) : 1;
     return jobs;
@@ -163,8 +146,7 @@ jitteredSeed(std::uint64_t seed, std::uint64_t attempt)
 /**
  * SIGINT/SIGTERM during a sweep: first signal requests a graceful
  * drain (in-flight runs are cancelled and recorded as abandoned,
- * everything durable is already on disk); a second signal force-quits
- * after flushing observability sinks.
+ * everything durable is already on disk); a second signal force-quits.
  */
 void
 drainSignalHandler(int sig)
@@ -175,7 +157,6 @@ drainSignalHandler(int sig)
             "results (signal again to force quit)\n";
         [[maybe_unused]] auto r = ::write(2, msg, sizeof(msg) - 1);
     } else {
-        runCrashHooks();
         ::_exit(128 + sig);
     }
 }
@@ -369,22 +350,12 @@ runSweep(const std::vector<ConfigKind> &configs,
         RunContext ctx;
         ctx.slot = baseSlot + i;
         std::string log;
-        std::unique_ptr<obs::TraceSink> sink;
-        obs::TraceSink *prevSink = nullptr;
         if (parallel) {
             ctx.log = &log;
-            // Per-job observability files: job N of this sweep writes
-            // <path>.jobN so concurrent runs never share a sink.
-            ctx.obsSuffix = ".job" + std::to_string(i);
             // Progress / warning lines from this pool
             // thread carry the cell's job tag so interleaved output
             // stays attributable.
             setThreadLogPrefix("[job" + std::to_string(i) + "] ");
-            if (!obs::traceFilePath().empty()) {
-                sink = std::make_unique<obs::TraceSink>(
-                    obs::traceFilePath() + ctx.obsSuffix);
-                prevSink = obs::setGlobalSink(sink.get());
-            }
         }
         WatchdogClient *client = clients[pi].get();
         ctx.progress = &client->progress;
@@ -518,10 +489,6 @@ runSweep(const std::vector<ConfigKind> &configs,
         }
         rows[i] = std::move(m);
 
-        if (sink) {
-            sink.reset();  // flush + close before detaching
-            obs::setGlobalSink(prevSink);
-        }
         // One write call per job: POSIX stderr is unbuffered, so
         // the block lands contiguously even across processes.
         if (!log.empty())

@@ -39,13 +39,8 @@ struct SweepOptions
     /** Progress lines to stderr; default: unless D2M_QUIET is
      * non-zero. */
     bool verbose = knobU64(Knob::Quiet) == 0;
-    /**
-     * Concurrent sweep jobs. 0 = auto: D2M_JOBS if set, else serial
-     * when a single-file trace output is configured (D2M_TRACE_FILE,
-     * whose file name stays byte-compatible that way), else the
-     * hardware thread count. With jobs > 1 and tracing enabled, each
-     * run writes <trace>.job<N> instead.
-     */
+    /** Concurrent sweep jobs. 0 = auto: D2M_JOBS if set, else the
+     * hardware thread count. */
     unsigned jobs = 0;
     RunOptions runOptions{};
 

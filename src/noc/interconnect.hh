@@ -25,7 +25,6 @@
 #include "fault/fault_injector.hh"
 #include "noc/message.hh"
 #include "obs/debug.hh"
-#include "obs/trace.hh"
 #include "sim/sim_object.hh"
 
 namespace d2m
@@ -79,11 +78,6 @@ class Interconnect : public SimObject
         ++perType_[static_cast<size_t>(type)];
         DTRACE(NoC, this, "send %u -> %u %s (%uB)", src, dst,
                msgTypeName(type), bytes);
-        // Exactly one noc_send trace record per counted message, so
-        // post-hoc message counts recomputed from the trace match the
-        // Stats counters bit-for-bit (retries below are re-recorded).
-        obs::traceEvent(obs::TraceKind::NocSend, src, bytes, dst,
-                        static_cast<std::uint64_t>(type));
         Cycles lat = hopLatency_;
         if (faults_) [[unlikely]] {
             // Link faults: each retransmission of a dropped message is
@@ -104,8 +98,6 @@ class Interconnect : public SimObject
                 ++perType_[static_cast<size_t>(type)];
                 DTRACE(NoC, this, "retry %u/%u %u -> %u %s", r + 1,
                        f.retries, src, dst, msgTypeName(type));
-                obs::traceEvent(obs::TraceKind::NocSend, src, bytes, dst,
-                                static_cast<std::uint64_t>(type));
             }
             lat += f.extraLatency;
         }

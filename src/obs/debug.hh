@@ -73,8 +73,8 @@ const char *allFlagNames();
 
 /**
  * The current simulated tick, maintained by the execution driver
- * (cpu/multicore.cc) so trace lines and trace records can be stamped
- * from anywhere without threading a clock through every call.
+ * (cpu/multicore.cc) so trace lines can be stamped from anywhere
+ * without threading a clock through every call.
  * thread_local: each parallel sweep job (harness/pool.hh) drives its
  * own system with its own clock.
  */

@@ -276,11 +276,4 @@ parse(const std::string &text, Value &out, std::string &err)
     return Parser(text, err).document(out);
 }
 
-bool
-valid(const std::string &text, std::string &err)
-{
-    Value v;
-    return parse(text, v, err);
-}
-
 } // namespace d2m::json

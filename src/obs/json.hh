@@ -7,10 +7,10 @@
  * counters) so stats exports are bit-identical across runs — the
  * "golden file diff" property the deterministic-stats check relies on.
  *
- * Parser half: a small recursive-descent JSON reader used by the tests
- * (stats JSON round-trip, trace JSONL validation) and by tooling that
- * recomputes paper figures from traces. It accepts exactly the subset
- * the writer emits (objects, arrays, strings, numbers, bools, null).
+ * Parser half: a small recursive-descent JSON reader used by the
+ * result store (loading records, rebuilding Metrics from stored rows)
+ * and by the tests. It accepts exactly the subset the writer emits
+ * (objects, arrays, strings, numbers, bools, null).
  */
 
 #ifndef D2M_OBS_JSON_HH
@@ -34,7 +34,7 @@ std::string number(double v);
 /** Exact integer formatting. */
 std::string number(std::uint64_t v);
 
-/** A parsed JSON value (small DOM for tests and trace tooling). */
+/** A parsed JSON value (small DOM for the store and the tests). */
 class Value
 {
   public:
@@ -64,9 +64,6 @@ class Value
  * leaves @p out unspecified.
  */
 bool parse(const std::string &text, Value &out, std::string &err);
-
-/** Validation-only wrapper around parse(). */
-bool valid(const std::string &text, std::string &err);
 
 } // namespace d2m::json
 

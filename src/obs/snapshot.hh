@@ -19,8 +19,7 @@
  *  - The final partial interval is closed at run end.
  *
  * The per-access cost when disabled is one inlined null check
- * (a null check on RunOptions::snapshotter in the multicore loop),
- * mirroring the traceEvent() discipline.
+ * on RunOptions::snapshotter in the multicore loop.
  */
 
 #ifndef D2M_OBS_SNAPSHOT_HH

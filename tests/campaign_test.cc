@@ -84,6 +84,15 @@ TEST(AbortCapture, InactiveOutsideScope)
     EXPECT_FALSE(ScopedAbortCapture::active());
 }
 
+TEST(AbortCaptureDeathTest, FatalStillDiesWithoutCapture)
+{
+    // Outside a ScopedAbortCapture, fatal() keeps its historical
+    // behavior: print and exit(1) — campaigns opt in, nothing else
+    // changes.
+    EXPECT_EXIT(fatal("plain fatal %d", 7),
+                ::testing::ExitedWithCode(1), "plain fatal 7");
+}
+
 TEST(CampaignIsolation, FatalRunFailsAloneGridCompletes)
 {
     auto opts = campaignOptions();

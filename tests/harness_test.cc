@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdlib>
 
 #include "harness/report.hh"
@@ -90,14 +89,31 @@ TEST(Report, FindRowAndSuiteMeans)
     EXPECT_EQ(findRow(rows, "c", "X"), nullptr);
     EXPECT_EQ(findRow(rows, "b", "Y"), nullptr);
     EXPECT_DOUBLE_EQ(
-        suiteMean(rows, "s", "X", [](const Metrics &m) { return m.ipc; }),
+        *suiteMean(rows, "s", "X", [](const Metrics &m) { return m.ipc; }),
         2.0);
-    EXPECT_NEAR(suiteGeomean(rows, "s", "X",
-                             [](const Metrics &m) { return m.ipc; }),
-                std::sqrt(3.0), 1e-9);
     const auto names = benchmarksIn(rows);
     ASSERT_EQ(names.size(), 2u);
     EXPECT_EQ(names[0], "a");
+}
+
+TEST(Report, SuiteMeanSkipsFailedRows)
+{
+    const auto ipc = [](const Metrics &m) { return m.ipc; };
+    std::vector<Metrics> rows(2);
+    rows[0].benchmark = "a";
+    rows[0].config = "X";
+    rows[0].suite = "s";
+    rows[0].ipc = 4.0;
+    // A failed cell comes back zero-filled; it must not read as 0.
+    rows[1].benchmark = "b";
+    rows[1].config = "X";
+    rows[1].suite = "s";
+    rows[1].status = "failed";
+    EXPECT_DOUBLE_EQ(*suiteMean(rows, "s", "X", ipc), 4.0);
+    // A suite with no ok row (filtered out, or all failed) has no mean.
+    rows[0].status = "timeout";
+    EXPECT_FALSE(suiteMean(rows, "s", "X", ipc).has_value());
+    EXPECT_FALSE(suiteMean(rows, "other", "X", ipc).has_value());
 }
 
 TEST(Runner, FilterByEnv)

@@ -87,10 +87,10 @@ TEST(Knobs, ReadmeNamesExactlyTheRows)
 TEST(Knobs, UnsetReadsTheDefault)
 {
     ::unsetenv("D2M_RUN_TIMEOUT");
-    ::unsetenv("D2M_TRACE_FILE");
+    ::unsetenv("D2M_BENCH_JSON_DIR");
     EXPECT_FALSE(knobSet(Knob::RunTimeout));
     EXPECT_EQ(knobU64(Knob::RunTimeout), knobRow(Knob::RunTimeout).def);
-    EXPECT_EQ(knobStr(Knob::TraceFile), "");
+    EXPECT_EQ(knobStr(Knob::BenchJsonDir), "");
 }
 
 TEST(KnobsDeathTest, MalformedUnsignedValueIsFatal)
@@ -121,11 +121,14 @@ TEST(KnobsDeathTest, RemovedKnobIsFatal)
 {
     // A knob deleted from the table is an undeclared variable: a
     // script that still exports it stops instead of silently running
-    // without the output it expects.
-    ::setenv("D2M_PROGRESS_JSON", "progress.jsonl", 1);
-    EXPECT_EXIT(checkKnobEnv(), testing::ExitedWithCode(1),
-                "D2M_PROGRESS_JSON is not a D2M knob");
-    ::unsetenv("D2M_PROGRESS_JSON");
+    // without the output it expects (no progress stream, no JSONL
+    // event trace).
+    for (const char *removed : {"D2M_PROGRESS_JSON", "D2M_TRACE_FILE"}) {
+        ::setenv(removed, "out.jsonl", 1);
+        EXPECT_EXIT(checkKnobEnv(), testing::ExitedWithCode(1),
+                    std::string(removed) + " is not a D2M knob");
+        ::unsetenv(removed);
+    }
 }
 
 /** stderr of a one-cell sweep with default SweepOptions. */

@@ -1,29 +1,21 @@
 /**
  * @file
  * Tests for the observability layer: debug flags (D2M_DEBUG parsing
- * and DTRACE emission), the TraceSink ring buffer and its JSONL
- * output, the JSON stats visitor and the rate-limited warning helpers. The final test runs a small multicore
- * simulation with tracing attached and reconciles the trace's message
- * records against the interconnect's Stats counters.
+ * and DTRACE emission), the JSON stats visitor, the rate-limited
+ * warning helpers and the results-JSON row encoding.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
-#include "cpu/multicore.hh"
-#include "harness/configs.hh"
 #include "harness/results_json.hh"
-#include "noc/message.hh"
 #include "obs/debug.hh"
 #include "obs/json.hh"
-#include "obs/trace.hh"
-#include "workload/suites.hh"
 
 namespace d2m
 {
@@ -94,88 +86,6 @@ TEST(DebugFlags, DtraceEmitsTickPathAndFlag)
     EXPECT_NE(err.find("[NoC]"), std::string::npos);
     EXPECT_NE(err.find("send 2 -> 4"), std::string::npos);
     EXPECT_EQ(err.find("must not appear"), std::string::npos);
-}
-
-// ---------------------------------------------------------------- trace
-
-TEST(TraceSink, MemoryRingWrapsDroppingOldest)
-{
-    obs::TraceSink sink("", /*capacity=*/4);
-    for (std::uint64_t i = 0; i < 6; ++i)
-        sink.record({/*tick=*/i, obs::TraceKind::NocSend, 0, 8, 1, 0});
-    EXPECT_EQ(sink.recorded(), 6u);
-    EXPECT_EQ(sink.buffered(), 4u);
-    EXPECT_EQ(sink.dropped(), 2u);
-    const auto snap = sink.snapshot();
-    ASSERT_EQ(snap.size(), 4u);
-    EXPECT_EQ(snap.front().tick, 2u);  // oldest two dropped
-    EXPECT_EQ(snap.back().tick, 5u);
-}
-
-TEST(TraceSink, FileFlushesOnFullAndProducesValidJsonl)
-{
-    const std::string path = "obs_test_sink.jsonl";
-    {
-        obs::TraceSink sink(path, /*capacity=*/4);
-        for (std::uint64_t i = 0; i < 10; ++i) {
-            sink.record({i, obs::TraceKind::AccessIssue,
-                         static_cast<std::uint32_t>(i % 3), 0x40 + i,
-                         i % 2, 0});
-        }
-        EXPECT_EQ(sink.dropped(), 0u);  // file mode never drops
-        EXPECT_GE(sink.flushed(), 8u);  // two full rings already out
-    }  // dtor flushes the remainder
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string line;
-    std::size_t lines = 0;
-    while (std::getline(in, line)) {
-        ++lines;
-        std::string err;
-        EXPECT_TRUE(json::valid(line, err)) << line << ": " << err;
-    }
-    EXPECT_EQ(lines, 10u);
-    std::remove(path.c_str());
-}
-
-TEST(TraceSink, JsonEncodingIsKindSpecific)
-{
-    json::Value v;
-    std::string err;
-    ASSERT_TRUE(json::parse(
-        obs::traceToJson({7, obs::TraceKind::NocSend, 2, 72, 4,
-                          static_cast<std::uint64_t>(MsgType::DataResp)}),
-        v, err))
-        << err;
-    EXPECT_EQ(v["kind"].asString(), "noc_send");
-    EXPECT_EQ(v["tick"].asNumber(), 7.0);
-    EXPECT_EQ(v["src"].asNumber(), 2.0);
-    EXPECT_EQ(v["dst"].asNumber(), 4.0);
-    EXPECT_EQ(v["bytes"].asNumber(), 72.0);
-    EXPECT_EQ(v["msg"].asString(), msgTypeName(MsgType::DataResp));
-
-    ASSERT_TRUE(json::parse(
-        obs::traceToJson({9, obs::TraceKind::RegionClass, 1, 0x100, 1, 0}),
-        v, err));
-    EXPECT_EQ(v["kind"].asString(), "region_class");
-    EXPECT_EQ(v["region"].asNumber(), 256.0);
-    EXPECT_EQ(v["shared"].asNumber(), 1.0);
-}
-
-TEST(TraceSink, GlobalEventHelperStampsTick)
-{
-    obs::TraceSink sink("", 16);
-    obs::TraceSink *old = obs::setGlobalSink(&sink);
-    debug::setCurTick(1234);
-    obs::traceEvent(obs::TraceKind::CohUpgrade, 3, 0x80, 'C');
-    obs::setGlobalSink(old);
-    const auto snap = sink.snapshot();
-    ASSERT_EQ(snap.size(), 1u);
-    EXPECT_EQ(snap[0].tick, 1234u);
-    EXPECT_EQ(snap[0].node, 3u);
-    // Detached again: recording is a no-op, not a crash.
-    obs::traceEvent(obs::TraceKind::CohUpgrade, 3, 0x80, 'C');
-    EXPECT_EQ(sink.recorded(), 1u);
 }
 
 // ----------------------------------------------------------- stats JSON
@@ -286,136 +196,6 @@ TEST(Warnings, WarnOnceFiresOnce)
     EXPECT_NE(err.find("only once"), std::string::npos);
     EXPECT_EQ(err.find("only once", err.find("only once") + 1),
               std::string::npos);
-}
-
-// -------------------------------------------- trace <-> stats reconcile
-
-WorkloadParams
-tinyWorkload()
-{
-    WorkloadParams p;
-    p.instructionsPerCore = 4'000;
-    p.sharedFootprint = 64 * 1024;
-    p.sharedFraction = 0.2;
-    p.seed = 11;
-    return p;
-}
-
-std::vector<std::unique_ptr<AccessStream>>
-streamsFor(const WorkloadParams &p, unsigned cores)
-{
-    std::vector<std::unique_ptr<AccessStream>> v;
-    for (unsigned c = 0; c < cores; ++c)
-        v.push_back(std::make_unique<SyntheticStream>(p, c, 64));
-    return v;
-}
-
-/** Count noc_send lines in @p path, all and after the last stats_reset. */
-void
-countNocSends(const std::string &path, std::uint64_t &total,
-              std::uint64_t &after_reset)
-{
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    total = after_reset = 0;
-    std::string line;
-    while (std::getline(in, line)) {
-        std::string err;
-        json::Value v;
-        ASSERT_TRUE(json::parse(line, v, err)) << line << ": " << err;
-        const std::string &kind = v["kind"].asString();
-        if (kind == "stats_reset")
-            after_reset = 0;
-        else if (kind == "noc_send") {
-            ++total;
-            ++after_reset;
-        }
-    }
-}
-
-TEST(TraceReconcile, NocSendRecordsMatchStatsCounters)
-{
-    const std::string path = "obs_test_reconcile.jsonl";
-    auto *sink = new obs::TraceSink(path, 4096);
-    obs::TraceSink *old = obs::setGlobalSink(sink);
-
-    auto sys = makeSystem(ConfigKind::D2mNsR);
-    auto streams = streamsFor(tinyWorkload(), sys->params().numNodes);
-    RunOptions opts;
-    opts.warmupInstsPerCore = 2'000;
-    const RunResult r = runMulticore(*sys, streams, opts);
-    EXPECT_EQ(r.valueErrors, 0u);
-
-    obs::setGlobalSink(old);
-    delete sink;  // flushes the tail
-
-    std::uint64_t total = 0, after_reset = 0;
-    countNocSends(path, total, after_reset);
-    // The counters were reset at the warmup boundary, where the trace
-    // carries a stats_reset marker: post-marker records must match the
-    // Stats counter exactly, and warmup traffic must exist.
-    EXPECT_EQ(after_reset, sys->noc().totalMessages.value());
-    EXPECT_GT(total, after_reset);
-    std::remove(path.c_str());
-}
-
-// --------------------------------------------------- crash-time flush
-
-/** Read @p path, requiring every line to be valid JSON. */
-std::size_t
-countJsonlLines(const std::string &path)
-{
-    std::ifstream in(path);
-    EXPECT_TRUE(in.good()) << path;
-    std::string line;
-    std::size_t lines = 0;
-    while (std::getline(in, line)) {
-        ++lines;
-        std::string err;
-        EXPECT_TRUE(json::valid(line, err)) << line << ": " << err;
-    }
-    return lines;
-}
-
-TEST(TraceCrashFlushDeathTest, FatalFlushesBufferedRecords)
-{
-    const std::string path = "obs_test_crash_fatal.jsonl";
-    std::remove(path.c_str());
-    // The sink is created inside the death-test child so only that
-    // process owns the file; the buffered records would be lost on
-    // abnormal exit without the crash hook in fatal().
-    EXPECT_EXIT(
-        {
-            auto *sink = new obs::TraceSink(path, /*capacity=*/4096);
-            obs::setGlobalSink(sink);
-            debug::setCurTick(99);
-            for (int i = 0; i < 5; ++i)
-                obs::traceEvent(obs::TraceKind::NocSend, 1, 64, 2);
-            fatal("boom with %d records buffered", 5);
-        },
-        testing::ExitedWithCode(1), "boom with 5 records buffered");
-    EXPECT_EQ(countJsonlLines(path), 5u);
-    std::remove(path.c_str());
-}
-
-TEST(TraceCrashFlushDeathTest, AtexitFlushesOnPlainExit)
-{
-    const std::string path = "obs_test_crash_exit.jsonl";
-    std::remove(path.c_str());
-    // exit() skips the sink's destructor (it is heap-allocated and
-    // never freed here); the std::atexit hook must flush instead.
-    EXPECT_EXIT(
-        {
-            auto *sink = new obs::TraceSink(path, /*capacity=*/4096);
-            obs::setGlobalSink(sink);
-            debug::setCurTick(7);
-            for (int i = 0; i < 3; ++i)
-                obs::traceEvent(obs::TraceKind::CohUpgrade, 0, 0x40, 'B');
-            std::exit(0);
-        },
-        testing::ExitedWithCode(0), "");
-    EXPECT_EQ(countJsonlLines(path), 3u);
-    std::remove(path.c_str());
 }
 
 TEST(ResultsJson, MetricsRowIsValidJson)
